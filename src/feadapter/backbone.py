@@ -97,6 +97,9 @@ def temporal_average_pool(cls_tokens) -> Tensor:
     return T.mean_axis(cls_tokens, axis=-2)
 
 
+_EMBED = frozenset(("patch_embed.weight", "patch_embed.bias", "pos_embed", "cls_token"))
+
+
 class VideoViT:
     """The assembled video classifier.
 
@@ -194,24 +197,62 @@ class VideoViT:
             x = self._run_adapter(x, i)
         return x
 
-    def encode(self, clips) -> Tensor:
-        """Pooled, normalized clip features: (batch, hidden)."""
+    def frozen_prefix(self) -> int | None:
+        """The first block holding a gradient-tracked tensor, or depth
+        when only the final norm and head are tracked (or nothing is).
+        The embedding and the blocks before it are a frozen prefix whose
+        output no update can change. None when an embedding tensor is
+        tracked: then there is no frozen prefix."""
+        stop = self.cfg.depth
+        for name, t in self.params.items():
+            if not t.requires_grad:
+                continue
+            if name in _EMBED:
+                return None
+            if name.startswith("blocks."):
+                stop = min(stop, int(name.split(".")[1]))
+        return stop
+
+    def encode_prefix(self, clips, stop: int) -> Tensor:
+        """The tokens entering block ``stop`` (0 <= stop <= depth): the
+        embedded clips run through blocks 0..stop-1,
+        (batch, frames, N+1, hidden)."""
         clips = np.asarray(clips, dtype=self.dtype)
         clips = self._check_clips(clips)
         p = self.params
         patches = patchify_clips(clips, self.cfg.patch)
         x = embed_tokens(Tensor(patches), p["patch_embed.weight"], p["patch_embed.bias"],
                          p["cls_token"], p["pos_embed"])
-        for i in range(self.cfg.depth):
+        for i in range(stop):
             x = self._block(x, i)
+        return x
+
+    def encode(self, clips, start: int | None = None) -> Tensor:
+        """Pooled, normalized clip features: (batch, hidden). With
+        ``start`` given, ``clips`` is instead the batch of tokens that
+        ``encode_prefix(clips, start)`` returns, and only the blocks
+        from ``start`` on run."""
+        if start is None:
+            x, start = self.encode_prefix(clips, 0), 0
+        else:
+            x = Tensor(clips)
+            cfg = self.cfg
+            expected = (cfg.frames, cfg.tokens_per_frame, cfg.hidden)
+            if x.data.ndim != 4 or x.shape[1:] != expected:
+                raise ShapeError(
+                    f"prefix tokens {x.shape} do not match expected (batch,)+{expected}")
+        for i in range(start, self.cfg.depth):
+            x = self._block(x, i)
+        p = self.params
         cls = x[:, :, 0, :]                      # (batch, frames, hidden)
         pooled = temporal_average_pool(cls)
         return T.layer_norm(pooled, p["final_norm.gamma"], p["final_norm.beta"])
 
-    def forward(self, clips) -> Tensor:
-        """Logits for one clip (classes,) or a batch (batch, classes)."""
-        single = np.asarray(clips).ndim == 4
-        feats = self.encode(clips)
+    def forward(self, clips, start: int | None = None) -> Tensor:
+        """Logits for one clip (classes,) or a batch (batch, classes).
+        ``start`` is as for ``encode``."""
+        single = start is None and np.asarray(clips).ndim == 4
+        feats = self.encode(clips, start)
         logits = T.matmul(feats, self.params["head.weight"]) + self.params["head.bias"]
         return logits[0] if single else logits
 

@@ -63,22 +63,31 @@ def save_checkpoint(model: VideoViT, path: str, echo: dict | None = None) -> Non
 
 
 def read_checkpoint_header(path: str) -> dict:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-        raw = fh.read(8)
-        if len(raw) < 8:
-            raise CheckpointError(f"{path}: truncated before header")
-        version, hlen = struct.unpack("<II", raw)
-        if version != VERSION:
-            raise CheckpointError(f"{path}: unsupported format version {version}, expected {VERSION}")
-        head = fh.read(hlen)
-        if len(head) < hlen:
-            raise CheckpointError(f"{path}: truncated header")
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(len(MAGIC))
+            if magic != MAGIC:
+                raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+            raw = fh.read(8)
+            if len(raw) < 8:
+                raise CheckpointError(f"{path}: truncated before header")
+            version, hlen = struct.unpack("<II", raw)
+            if version != VERSION:
+                raise CheckpointError(
+                    f"{path}: unsupported format version {version}, expected {VERSION}")
+            head = fh.read(hlen)
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {exc.strerror or exc}") from exc
+    if len(head) < hlen:
+        raise CheckpointError(f"{path}: truncated header")
+    try:
         header = json.loads(head.decode("utf-8"))
-        header["_payload_start"] = len(MAGIC) + 8 + hlen
-        return header
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header (not a JSON object)")
+    header["_payload_start"] = len(MAGIC) + 8 + hlen
+    return header
 
 
 def _read_tensor(payload: bytes, entry: dict, path: str) -> np.ndarray:

@@ -40,7 +40,8 @@ def gradcheck_model(model: VideoViT, clips: np.ndarray, labels: np.ndarray,
         raise UsageError("gradcheck requires a float64 model")
 
     def loss_value() -> float:
-        return float(T.cross_entropy(model.forward(clips), labels).data)
+        with T.no_grad():
+            return float(T.cross_entropy(model.forward(clips), labels).data)
 
     model.zero_grad()
     loss = T.cross_entropy(model.forward(clips), labels)

@@ -7,10 +7,24 @@ its output for NaN/Inf and raises instead of propagating garbage.
 Ops are pure functions over immutable inputs. The implicit compute
 graph (parent links plus a vector-Jacobian closure per node) is
 single-owner: build it, call ``backward`` once, drop it.
+
+Nothing is computed for a gradient nobody reads:
+
+- Inside ``with no_grad():`` ops record no graph at all: outputs have
+  no parents and ``requires_grad=False``, so a forward-only pass keeps
+  no saved activations, and ``depthwise_conv3d`` skips the
+  rate-derivative matrices. Values are bitwise those of grad mode, and
+  the finite checks still run. ``train()`` uses it to encode its one
+  cache, the tokens entering the first block that holds a trainable
+  tensor (the frozen prefix), and every eval runs under it.
+- A multi-operand VJP returns ``None`` for every operand with
+  ``requires_grad=False`` instead of computing its gradient, so a
+  frozen weight costs no backward work.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Sequence
 
@@ -21,6 +35,21 @@ from .errors import ConfigError, NonFiniteError, ShapeError, UsageError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording a graph; restores the previous mode on
+    exit, also when nested or left by an exception."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 def _guard_finite(arr: np.ndarray, op: str) -> None:
@@ -134,7 +163,7 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tens
     out.data = data
     out.grad = None
     out._op = op
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -166,7 +195,8 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def vjp(g):
-        return _reduce_to_shape(g, a.shape), _reduce_to_shape(g, b.shape)
+        return (_reduce_to_shape(g, a.shape) if a.requires_grad else None,
+                _reduce_to_shape(g, b.shape) if b.requires_grad else None)
 
     return _result(data, (a, b), vjp, "add")
 
@@ -177,7 +207,8 @@ def sub(a, b) -> Tensor:
     data = a.data - b.data
 
     def vjp(g):
-        return _reduce_to_shape(g, a.shape), _reduce_to_shape(-g, b.shape)
+        return (_reduce_to_shape(g, a.shape) if a.requires_grad else None,
+                _reduce_to_shape(-g, b.shape) if b.requires_grad else None)
 
     return _result(data, (a, b), vjp, "sub")
 
@@ -188,8 +219,8 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def vjp(g):
-        return (_reduce_to_shape(g * b.data, a.shape),
-                _reduce_to_shape(g * a.data, b.shape))
+        return (_reduce_to_shape(g * b.data, a.shape) if a.requires_grad else None,
+                _reduce_to_shape(g * a.data, b.shape) if b.requires_grad else None)
 
     return _result(data, (a, b), vjp, "mul")
 
@@ -212,9 +243,12 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _reduce_to_shape(ga, a.shape), _reduce_to_shape(gb, b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _reduce_to_shape(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        if b.requires_grad:
+            gb = _reduce_to_shape(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        return ga, gb
 
     return _result(data, (a, b), vjp, "matmul")
 
@@ -263,7 +297,8 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(part if t.requires_grad else None
+                     for t, part in zip(ts, np.split(g, splits, axis=axis)))
 
     return _result(data, tuple(ts), vjp, "concat")
 
@@ -348,11 +383,15 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead)
-        dbeta = g.sum(axis=lead)
-        dxhat = g * gamma.data
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dx = dgamma = dbeta = None
+        if gamma.requires_grad:
+            dgamma = (g * xhat).sum(axis=lead)
+        if beta.requires_grad:
+            dbeta = g.sum(axis=lead)
+        if x.requires_grad:
+            dxhat = g * gamma.data
+            dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         return dx, dgamma, dbeta
 
     return _result(y, (x, gamma, beta), vjp, "layer_norm")
@@ -532,7 +571,7 @@ def depthwise_conv3d(x, kernel, dilation=(1.0, 1.0, 1.0)) -> Tensor:
         raise ValueError(f"dilation rates must be >= 1, got {rates_arr.min()}")
     rates_all = rates_arr if per_item else np.broadcast_to(rates_arr, (batch, 3))
 
-    need_rate_grad = dil_tensor is not None and dil_tensor.requires_grad
+    need_rate_grad = _grad_enabled and dil_tensor is not None and dil_tensor.requires_grad
     kern = kernel.data
     kt, kh, kw = kern.shape[1:]
     channels, t_n, h_n, w_n = xb.shape[1:]
@@ -555,20 +594,24 @@ def depthwise_conv3d(x, kernel, dilation=(1.0, 1.0, 1.0)) -> Tensor:
 
     def vjp(g):
         gb = g[None] if squeeze else g
-        flat = t_n * h_n * w_n
-        zz = np.ascontiguousarray(zt.reshape(batch, channels, flat, taps)
-                                  .transpose(1, 3, 0, 2)).reshape(channels, taps, -1)
-        gg = np.ascontiguousarray(gb.reshape(batch, channels, flat)
-                                  .transpose(1, 0, 2)).reshape(channels, -1, 1)
-        dk2 = (zz @ gg)[..., 0]
-        dk = dk2.reshape(channels, kw, kh, kt).transpose(0, 3, 2, 1).copy()
-        q = gb[:, None] * k2.T.reshape(1, taps, channels, 1, 1, 1)
-        q, rg_w = _tap_reduce(q, mw, dw_, zin_w, axis=5)
-        q, rg_h = _tap_reduce(q, mh, dh_, zin_h, axis=4)
-        q, rg_t = _tap_reduce(q, mt, dt_, zin_t, axis=3)
-        dx = q.reshape(xb.shape)
-        if squeeze:
-            dx = dx[0]
+        dx = dk = None
+        if kernel.requires_grad:
+            flat = t_n * h_n * w_n
+            zz = np.ascontiguousarray(zt.reshape(batch, channels, flat, taps)
+                                      .transpose(1, 3, 0, 2)).reshape(channels, taps, -1)
+            gg = np.ascontiguousarray(gb.reshape(batch, channels, flat)
+                                      .transpose(1, 0, 2)).reshape(channels, -1, 1)
+            dk2 = (zz @ gg)[..., 0]
+            dk = dk2.reshape(channels, kw, kh, kt).transpose(0, 3, 2, 1).copy()
+        if x.requires_grad or need_rate_grad:
+            q = gb[:, None] * k2.T.reshape(1, taps, channels, 1, 1, 1)
+            q, rg_w = _tap_reduce(q, mw, dw_, zin_w, axis=5)
+            q, rg_h = _tap_reduce(q, mh, dh_, zin_h, axis=4)
+            q, rg_t = _tap_reduce(q, mt, dt_, zin_t, axis=3)
+            if x.requires_grad:
+                dx = q.reshape(xb.shape)
+                if squeeze:
+                    dx = dx[0]
         grads = [dx, dk]
         if dil_tensor is not None:
             if not need_rate_grad:

@@ -143,25 +143,21 @@ class TrainResult:
     records: list
 
 
-def _head_only(plan: FreezePlan) -> bool:
-    return set(plan.trainable) == {"head.weight", "head.bias"}
+def _forward_only(fn, inputs: np.ndarray) -> np.ndarray:
+    """``fn`` over ``inputs`` in chunks of ``_EVAL_CHUNK`` rows under
+    ``no_grad``, outputs concatenated: the one forward-only loop, shared
+    by evaluation and the frozen-prefix cache."""
+    with T.no_grad():
+        return np.concatenate([fn(inputs[lo:lo + _EVAL_CHUNK]).data
+                               for lo in range(0, len(inputs), _EVAL_CHUNK)])
 
 
-def _encode_all(model: VideoViT, clips: np.ndarray) -> np.ndarray:
-    feats = []
-    for lo in range(0, len(clips), _EVAL_CHUNK):
-        feats.append(model.encode(clips[lo:lo + _EVAL_CHUNK]).data)
-    return np.concatenate(feats, axis=0)
-
-
-def evaluate_model(model: VideoViT, data: VideoBatch) -> MetricsReport:
-    """Deterministic argmax evaluation over a whole batch collection."""
-    total = len(data)
-    preds = np.empty(total, dtype=np.int64)
-    for lo in range(0, total, _EVAL_CHUNK):
-        hi = min(lo + _EVAL_CHUNK, total)
-        preds[lo:hi] = model.forward(data.clips[lo:hi]).data.argmax(axis=-1)
-    return uar_war(preds, data.labels, model.cfg.classes)
+def evaluate_model(model: VideoViT, data: VideoBatch, start: int | None = None) -> MetricsReport:
+    """Deterministic argmax evaluation over a whole batch collection.
+    With ``start`` given, ``data.clips`` holds the tokens entering block
+    ``start`` instead of clips (see ``VideoViT.encode``)."""
+    logits = _forward_only(lambda x: model.forward(x, start), data.clips)
+    return uar_war(logits.argmax(axis=-1), data.labels, model.cfg.classes)
 
 
 def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
@@ -182,30 +178,22 @@ def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
     opt = AdamW(trainables, tcfg.lr, tcfg.weight_decay)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([tcfg.seed, 0x10AD])))
     total = len(data)
+    started = time.perf_counter()
 
-    # With only the head training, the frozen features never change:
-    # encode once and train the head on the cache.
-    cached = _encode_all(model, data.clips) if _head_only(plan) else None
-
-    def batch_logits(idx: np.ndarray) -> Tensor:
-        if cached is not None:
-            feats = Tensor(cached[idx])
-            return T.matmul(feats, model.params["head.weight"]) + model.params["head.bias"]
-        return model.forward(data.clips[idx])
-
-    def evaluate() -> MetricsReport:
-        preds = np.empty(total, dtype=np.int64)
-        for lo in range(0, total, _EVAL_CHUNK):
-            idx = np.arange(lo, min(lo + _EVAL_CHUNK, total))
-            preds[idx] = batch_logits(idx).data.argmax(axis=-1)
-        return uar_war(preds, data.labels, model.cfg.classes)
+    # The embedding and the blocks before the first trainable tensor
+    # give the same tokens at every step: encode them once, and start
+    # every training and eval forward from that cache (after the last
+    # block when only the head trains). With the embedding trainable
+    # there is no frozen prefix and the forwards start from the clips.
+    start = model.frozen_prefix()
+    inputs = data if start is None else VideoBatch(
+        _forward_only(lambda c: model.encode_prefix(c, start), data.clips), data.labels)
 
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     records: list = []
     best_war, best_epoch = -1.0, -1
     best_state: dict[str, np.ndarray] = {k: v.data.copy() for k, v in trainables.items()}
     best_metrics: MetricsReport | None = None
-    started = time.perf_counter()
     step_count = 0
     try:
         for epoch in range(tcfg.epochs):
@@ -216,7 +204,7 @@ def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
                 idx = perm[lo:lo + tcfg.batch]
                 step_count += 1
                 try:
-                    logits = batch_logits(idx)
+                    logits = model.forward(inputs.clips[idx], start)
                     loss = T.cross_entropy(logits, data.labels[idx])
                     loss.backward()
                 except NonFiniteError as exc:
@@ -229,7 +217,7 @@ def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
             record = {"epoch": epoch, "lr": lr, "loss": epoch_loss, "uar": None, "war": None}
             stop = False
             if (epoch + 1) % tcfg.eval_every == 0 or epoch == tcfg.epochs - 1:
-                m = evaluate()
+                m = evaluate_model(model, inputs, start)
                 record["uar"], record["war"] = m.uar, m.war
                 if m.war > best_war:
                     best_war, best_epoch, best_metrics = m.war, epoch, m
@@ -249,7 +237,7 @@ def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
             log_fh.close()
     for name, arr in best_state.items():
         model.params[name].data = arr.copy()
-    report = best_metrics if best_metrics is not None else evaluate()
+    report = best_metrics if best_metrics is not None else evaluate_model(model, inputs, start)
     report.trainable_params = counts.trainable
     report.total_params = counts.total
     report.param_ratio = counts.ratio

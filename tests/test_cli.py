@@ -5,7 +5,10 @@ import json
 import pytest
 
 import feadapter.tensor
+from feadapter import VideoViT, load_experiment_config, save_checkpoint
+from feadapter.checkpoint import MAGIC
 from feadapter.cli import main
+from feadapter.config import config_echo
 from feadapter.reports import read_records
 
 TINY = """
@@ -85,6 +88,24 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(ckpt)]) == 0
         out = capsys.readouterr().out
         assert "UAR" in out and "WAR" in out
+
+    def test_missing_checkpoint_is_a_named_error(self, tmp_path, capsys):
+        absent = tmp_path / "absent.bin"
+        assert main(["eval", "--checkpoint", str(absent)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "absent.bin" in err
+
+    @pytest.mark.parametrize("bit", [0x80, 0x01], ids=["not-utf8", "not-json"])
+    def test_flipped_header_byte_is_a_named_error(self, tiny_config, tmp_path, capsys, bit):
+        exp = load_experiment_config(str(tiny_config))
+        ckpt = tmp_path / "ck.bin"
+        save_checkpoint(VideoViT(exp.model, seed=0), str(ckpt), echo=config_echo(exp))
+        blob = bytearray(ckpt.read_bytes())
+        blob[len(MAGIC) + 8] ^= bit              # the header's opening brace
+        ckpt.write_bytes(bytes(blob))
+        assert main(["eval", "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "header" in err
 
 
 class TestSweepCommand:

@@ -413,3 +413,109 @@ class TestDeterminismAndGuards:
     def test_nan_input_rejected_at_construction(self):
         with pytest.raises(NonFiniteError):
             Tensor([np.nan, 1.0])
+
+
+def _tracked_ops(rng):
+    """Ops applied to gradient-tracked float64 inputs, including the conv
+    with per-clip rates that require grad (the d2_conv3d path)."""
+    def leaf(*shape, low=None):
+        arr = rng.normal(size=shape) if low is None else low + rng.random(shape)
+        return Tensor(arr, dtype=np.float64, requires_grad=True)
+
+    x, y, z, w = leaf(2, 3, 4), leaf(4), leaf(4), leaf(4, 5)
+    grid, kern, rates = leaf(2, 2, 3, 4, 4), leaf(2, 3, 3, 3), leaf(2, 3, low=1.0)
+    return {
+        "add": lambda: x + y, "sub": lambda: x - y, "mul": lambda: x * y,
+        "matmul": lambda: T.matmul(x, w),
+        "layer_norm": lambda: T.layer_norm(x, y, z),
+        "gelu": lambda: T.gelu(x), "softmax": lambda: T.softmax_lastdim(x),
+        "concat": lambda: T.concat([x, x * 2.0], axis=1),
+        "cross_entropy": lambda: T.cross_entropy(x[0], np.array([0, 1, 3])),
+        "depthwise_conv3d": lambda: depthwise_conv3d(grid, kern, rates),
+    }
+
+
+class TestNoGrad:
+    def test_outputs_record_no_graph(self):
+        for name, op in _tracked_ops(np.random.default_rng(40)).items():
+            with T.no_grad():
+                out = op()
+            assert out._parents == () and out._vjp is None, name
+            assert not out.requires_grad, name
+
+    def test_outputs_bitwise_equal_to_grad_mode(self):
+        for name, op in _tracked_ops(np.random.default_rng(41)).items():
+            tracked = op()
+            assert tracked.requires_grad, name
+            with T.no_grad():
+                plain = op()
+            np.testing.assert_array_equal(plain.data, tracked.data, err_msg=name)
+
+    def test_conv_builds_rate_derivatives_only_in_grad_mode(self, monkeypatch):
+        built = []
+        real = T._axis_matrices
+
+        def spy(rates, n, extent, dtype, with_deriv):
+            built.append(with_deriv)
+            return real(rates, n, extent, dtype, with_deriv)
+
+        monkeypatch.setattr(T, "_axis_matrices", spy)
+        conv = _tracked_ops(np.random.default_rng(43))["depthwise_conv3d"]
+        with T.no_grad():
+            conv()
+        conv()
+        assert built == [False] * 3 + [True] * 3
+
+    def test_mode_restored_after_nesting_and_exception(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not (x * x).requires_grad
+        assert (x * x).requires_grad
+        with pytest.raises(KeyError), T.no_grad():
+            raise KeyError("inside")
+        assert (x * x).requires_grad
+
+    def test_first_non_finite_value_still_raises(self):
+        big = Tensor(np.array([1e300], dtype=np.float64), requires_grad=True)
+        with np.errstate(over="ignore"), T.no_grad(), pytest.raises(NonFiniteError, match="mul"):
+            T.mul(big, big)
+
+
+def _pruned_ops(rng):
+    """Multi-operand ops with float64 operand arrays; the VJP of each
+    must skip every operand that is not gradient-tracked."""
+    def arr(*shape):
+        return rng.normal(size=shape)
+
+    return {
+        "add": (T.add, [arr(3, 4), arr(4)]),
+        "sub": (T.sub, [arr(3, 4), arr(3, 1)]),
+        "mul": (T.mul, [arr(3, 4), arr(4)]),
+        "matmul": (T.matmul, [arr(2, 3, 4), arr(4, 5)]),
+        "concat": (lambda a, b: T.concat([a, b], axis=1), [arr(3, 2), arr(3, 4)]),
+        "layer_norm": (T.layer_norm, [arr(2, 3, 5), arr(5), arr(5)]),
+        "depthwise_conv3d": (depthwise_conv3d,
+                             [arr(2, 2, 3, 4, 4), arr(2, 3, 3, 3), 1.0 + rng.random((2, 3))]),
+    }
+
+
+class TestPrunedVjp:
+    @pytest.mark.parametrize("op", sorted(_pruned_ops(np.random.default_rng(0))))
+    def test_tracked_gradient_independent_of_other_operands(self, op):
+        fn, arrays = _pruned_ops(np.random.default_rng(42))[op]
+        for i in range(len(arrays)):
+            grads = []
+            for others_tracked in (True, False):
+                ts = [Tensor(a, dtype=np.float64, requires_grad=others_tracked or j == i)
+                      for j, a in enumerate(arrays)]
+                out = fn(*ts)
+                pieces = out._vjp(np.ones_like(out.data))
+                for t, piece in zip(ts, pieces):
+                    assert (piece is None) == (not t.requires_grad), (op, i)
+                weighted_scalar(out).backward()
+                for j, t in enumerate(ts):
+                    assert (t.grad is None) == (not t.requires_grad), (op, i, j)
+                grads.append(ts[i].grad)
+            np.testing.assert_array_equal(grads[0], grads[1], err_msg=f"{op} operand {i}")

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from feadapter import (VideoViT, adamw_step, apply_freeze, cosine_lr, frozen_digest,
-                       motion_pairs, synth_dataset, train, uar_war)
+from feadapter import (VideoBatch, VideoViT, adamw_step, apply_freeze, cosine_lr,
+                       evaluate_model, frozen_digest, motion_pairs, synth_dataset, train,
+                       uar_war)
+from feadapter import tensor as T
 from feadapter.config import AdapterConfig, ModelConfig, TrainConfig
-from feadapter.errors import ConfigError, TrainingDiverged, UsageError
-from feadapter.training import AdamW
+from feadapter.errors import ConfigError, ShapeError, TrainingDiverged, UsageError
+from feadapter.training import AdamW, _forward_only
 
 from helpers import uar_war_oracle
 
@@ -227,7 +229,6 @@ class TestTrainLoop:
         cfg = tiny_cfg()
         m = VideoViT(cfg, seed=2)
         data = tiny_data(cfg, clips_per_class=1)
-        from feadapter.data import VideoBatch
         one = VideoBatch(clips=data.clips[:1], labels=data.labels[:1])
         tc = TrainConfig(lr=1e-3, weight_decay=0.0, batch=1, epochs=4, seed=0,
                          eval_every=4, freeze="full")
@@ -294,3 +295,66 @@ class TestTrainLoop:
         records = read_records(str(log))
         assert records == result.records
         assert set(records[0]) == {"epoch", "lr", "loss", "uar", "war"}
+
+
+class TestFrozenPrefixCache:
+    """train() encodes the frozen prefix once and starts every forward
+    from it; that must change no bit of the logits or the gradients."""
+
+    def late_model(self, seed=9):
+        cfg = tiny_cfg(depth=3, adapter=AdapterConfig(variant="d2_conv3d", r=6, blocks=(3,)))
+        m = VideoViT(cfg, seed=seed)
+        apply_freeze(m, "adapter")
+        rng = np.random.default_rng(seed)
+        for t in m.trainable_parameters().values():
+            t.data = rng.normal(0.0, 0.1, size=t.shape).astype(t.data.dtype)
+        return m
+
+    @pytest.mark.parametrize("mode, variant, blocks, start", [
+        ("adapter", "d2_conv3d", (3,), 2), ("adapter", "vanilla", (2, 3), 1),
+        ("adapter", "d2_conv3d", (1, 2, 3), 0), ("linear_probe", "none", (), 3),
+        ("full", "none", (), None)])
+    def test_prefix_ends_at_first_trainable_block(self, mode, variant, blocks, start):
+        cfg = tiny_cfg(depth=3, adapter=AdapterConfig(variant=variant, r=6, blocks=blocks))
+        m = VideoViT(cfg, seed=0)
+        apply_freeze(m, mode)
+        assert m.frozen_prefix() == start
+
+    def test_cached_logits_and_gradients_bitwise_equal_to_forward(self):
+        m = self.late_model()
+        data = tiny_data(m.cfg, clips_per_class=20)  # 40 clips: the cache spans two chunks
+        start = m.frozen_prefix()
+        cache = _forward_only(lambda c: m.encode_prefix(c, start), data.clips)
+        idx = np.array([37, 3, 31, 12, 0, 33, 8, 20])
+        outs = []
+        for logits in (m.forward(cache[idx], start), m.forward(data.clips[idx])):
+            m.zero_grad()
+            T.cross_entropy(logits, data.labels[idx]).backward()
+            outs.append((logits.data, {n: t.grad for n, t in m.trainable_parameters().items()}))
+        (cached, cached_grads), (direct, direct_grads) = outs
+        np.testing.assert_array_equal(cached, direct)
+        for name, g in cached_grads.items():
+            np.testing.assert_array_equal(g, direct_grads[name], err_msg=name)
+
+    def test_no_grad_forward_bitwise_equal_to_grad_mode(self):
+        m = self.late_model()
+        clips = tiny_data(m.cfg).clips[:5]
+        tracked = m.forward(clips)
+        with T.no_grad():
+            plain = m.forward(clips)
+        assert tracked.requires_grad and not plain.requires_grad
+        np.testing.assert_array_equal(plain.data, tracked.data)
+
+    def test_evaluation_from_cache_matches_evaluation_from_clips(self):
+        m = self.late_model()
+        data = tiny_data(m.cfg, clips_per_class=20)
+        start = m.frozen_prefix()
+        cache = VideoBatch(_forward_only(lambda c: m.encode_prefix(c, start), data.clips),
+                           data.labels)
+        a, b = evaluate_model(m, data), evaluate_model(m, cache, start)
+        np.testing.assert_array_equal(a.confusion, b.confusion)
+
+    def test_prefix_tokens_of_wrong_shape_rejected(self):
+        m = self.late_model()
+        with pytest.raises(ShapeError):
+            m.forward(np.zeros((2, 4, 6, 32), dtype=np.float32), 2)
