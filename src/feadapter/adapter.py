@@ -92,16 +92,14 @@ def grid_to_tokens(grid, cls) -> Tensor:
 
 
 def dilation_rates(grid, dil_w, dil_b) -> Tensor:
-    """Per-clip dilation rates from the bottleneck grid: global average
-    pool over (frames, H, W), linear map to 3, then 1 + softplus so the
-    rates stay >= 1 and differentiable."""
-    pooled = T.mean_axis(grid, axis=(-3, -2, -1))  # (..., r)
-    flat = pooled if pooled.data.ndim == 2 else T.reshape(pooled, (1, pooled.shape[-1]))
-    z = T.matmul(flat, dil_w) + dil_b
-    rates = 1.0 + T.softplus(z)
-    if pooled.data.ndim != 2:
-        rates = T.reshape(rates, (3,))
-    return rates
+    """Per-clip dilation rates from the (batch, r, frames, H, W)
+    bottleneck grid: global average pool over (frames, H, W), linear map
+    to 3, then 1 + softplus so the rates stay >= 1 and differentiable.
+    Returns (batch, 3)."""
+    if len(grid.shape) != 5:
+        raise ShapeError(f"dilation rates need a (batch, r, frames, H, W) grid, got {grid.shape}")
+    pooled = T.mean_axis(grid, axis=(-3, -2, -1))  # (batch, r)
+    return 1.0 + T.softplus(T.matmul(pooled, dil_w) + dil_b)
 
 
 def fe_adapter(x, w: AdapterWeights, cfg: AdapterConfig, frames: int,

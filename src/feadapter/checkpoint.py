@@ -20,6 +20,7 @@ from .errors import CheckpointError
 
 MAGIC = b"FEADCKPT"
 VERSION = 1
+WIRE_DTYPES = ("<f4", "<f8")
 
 
 def _default_echo(model: VideoViT) -> dict:
@@ -86,8 +87,40 @@ def read_checkpoint_header(path: str) -> dict:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: corrupt header (not a JSON object)")
+    problem = _header_problem(header)
+    if problem:
+        raise CheckpointError(f"{path}: corrupt header ({problem})")
     header["_payload_start"] = len(MAGIC) + 8 + hlen
     return header
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _header_problem(header: dict) -> str | None:
+    """What is wrong with a decoded header's shape, or None: readers
+    index every field below without further checks."""
+    if not isinstance(header.get("config"), dict):
+        return "'config' is not an object"
+    if not _is_int(header.get("seed", 0)):
+        return "'seed' is not an integer"
+    tensors = header.get("tensors")
+    if not isinstance(tensors, list):
+        return "'tensors' is not a list"
+    for i, entry in enumerate(tensors):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
+            return f"tensor entry {i} is not an object with a string 'name'"
+        name, shape = entry["name"], entry.get("shape")
+        if not (isinstance(shape, list) and all(_is_int(n) and n >= 0 for n in shape)):
+            return f"tensor {name!r} has a bad 'shape'"
+        if entry.get("dtype") not in WIRE_DTYPES:
+            return f"tensor {name!r} has dtype {entry.get('dtype')!r}"
+        if not all(_is_int(entry.get(key)) and entry[key] >= 0 for key in ("offset", "nbytes")):
+            return f"tensor {name!r} has a bad 'offset' or 'nbytes'"
+        if not isinstance(entry.get("trainable"), bool):
+            return f"tensor {name!r} has no boolean 'trainable'"
+    return None
 
 
 def _read_tensor(payload: bytes, entry: dict, path: str) -> np.ndarray:

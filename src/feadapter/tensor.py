@@ -20,6 +20,15 @@ Nothing is computed for a gradient nobody reads:
 - A multi-operand VJP returns ``None`` for every operand with
   ``requires_grad=False`` instead of computing its gradient, so a
   frozen weight costs no backward work.
+
+``depthwise_conv3d`` takes batched input only, (batch, channels, T, H,
+W), with its dilation rates as a float triple or a (batch, 3) tensor.
+Its trilinear sampling factors into one closed-form matrix per (clip,
+axis, kernel tap). The forward resamples the T taps and then the H
+taps as batched GEMMs, then folds the kernel into the W axis, one
+W x W matrix per (clip, t-tap, h-tap, channel). The largest
+intermediate is therefore kT*kH times the input; the kT*kH*kW-fold
+tensor of resampled copies is never built.
 """
 
 from __future__ import annotations
@@ -452,180 +461,127 @@ def cross_entropy(logits, labels) -> Tensor:
 
 def _axis_matrices(rates: np.ndarray, n: int, extent: int, dtype,
                    with_deriv: bool):
-    """Per-item sampling matrices for one axis.
+    """Per-clip sampling matrices for one axis, in closed form.
 
-    For kernel tap a at dilation d, output index i samples input
-    position i + (a - center)*d: rows carry the two linear-interpolation
-    weights, clipped to the volume (zero padding). Returns M of shape
-    (batch, extent, n, n) and, when requested, dM/dd with the same
-    shape (right derivative at integer offsets).
+    Kernel tap a at rate d makes output index i sample input position
+    i + (a - center)*d by linear interpolation of its two neighbours,
+    zero outside the volume (zero padding):
+    ``M[b, a, i, j] = max(0, 1 - |(a - center)*d_b - (j - i)|)``.
+    Returns M of shape (batch, extent, n, n) and, when requested, dM/dd
+    with the same shape: the right derivative, so at a kink it is the
+    slope on the side the rate moves into.
     """
-    center = extent // 2
-    batch = len(rates)
-    mats = np.zeros((batch, extent, n, n), dtype=dtype)
-    deriv = np.zeros((batch, extent, n, n), dtype=dtype) if with_deriv else None
-    rows = np.broadcast_to(np.arange(n), (batch, n))
-    bidx = np.broadcast_to(np.arange(batch)[:, None], (batch, n))
-    for a in range(extent):
-        off = a - center
-        s = off * rates
-        m = np.floor(s)
-        w = np.broadcast_to((s - m)[:, None], (batch, n))
-        lo = rows + m.astype(np.int64)[:, None]
-        hi = lo + 1
-        ok_lo = (lo >= 0) & (lo < n)
-        ok_hi = (hi >= 0) & (hi < n)
-        mats[bidx[ok_lo], a, rows[ok_lo], lo[ok_lo]] = 1.0 - w[ok_lo]
-        nz = ok_hi & (w > 0.0)
-        mats[bidx[nz], a, rows[nz], hi[nz]] += w[nz]
-        if with_deriv and off != 0:
-            deriv[bidx[ok_lo], a, rows[ok_lo], lo[ok_lo]] = -off
-            deriv[bidx[ok_hi], a, rows[ok_hi], hi[ok_hi]] += off
-    return mats, deriv
+    off = np.arange(extent) - extent // 2
+    u = (off[:, None, None] * rates[:, None, None, None]
+         - (np.arange(n) - np.arange(n)[:, None]))      # (B, A, n, n)
+    mats = np.maximum(0.0, 1.0 - np.abs(u)).astype(dtype)
+    if not with_deriv:
+        return mats, None
+    # a rising rate moves u in the direction of its offset's sign
+    ahead = np.sign(off)[:, None, None] * u
+    slope = ((ahead >= -1) & (ahead < 0)).astype(dtype) - ((ahead >= 0) & (ahead < 1))
+    return mats, np.abs(off)[:, None, None].astype(dtype) * slope
 
 
-def _tap_expand(arr: np.ndarray, mats: np.ndarray, axis: int):
-    """Resample one lattice axis for every kernel tap of that axis.
-
-    ``arr`` is (B, G, C, T, H, W) with G previously accumulated taps;
-    ``mats`` is (B, A, n, n) for the axis at absolute position ``axis``.
-    Returns (B, A*G, C, T, H, W) with the new tap axis leading G, plus
-    the flattened input (B, 1, M, n) reused by the rate-derivative
-    contraction.
-    """
-    b, g = arr.shape[:2]
-    a, n = mats.shape[1], mats.shape[-1]
-    moved = np.moveaxis(arr, axis, -1)
-    mid = moved.shape[2:-1]
-    z = np.ascontiguousarray(moved).reshape(b, 1, -1, n)
-    y = z @ np.swapaxes(mats, -1, -2)           # (B, A, M, n), batched GEMM
-    y = np.moveaxis(y.reshape(b, a, g, *mid, n), -1, axis + 1)
-    return np.ascontiguousarray(y).reshape(b, a * g, *arr.shape[2:]), z
+def _swap(m: np.ndarray) -> np.ndarray:
+    """Contiguous transpose of the last two axes: numpy's stacked matmul
+    runs about twice as slowly with a transposed view as its broadcast
+    operand."""
+    return np.ascontiguousarray(np.swapaxes(m, -1, -2))
 
 
-def _tap_reduce(grad: np.ndarray, mats: np.ndarray, deriv, zin, axis: int):
-    """Adjoint of ``_tap_expand``: push the gradient back through the
-    sampling matrices, contracting the axis taps. Also returns the
-    per-item rate gradient when ``deriv`` is given."""
-    b = grad.shape[0]
-    a, n = mats.shape[1], mats.shape[-1]
-    g = grad.shape[1] // a
-    work = grad.reshape(b, a, g, *grad.shape[2:])
-    moved = np.moveaxis(work, axis + 1, -1)
-    mid = moved.shape[3:-1]
-    z = np.ascontiguousarray(moved).reshape(b, a, -1, n)
-    rate_grad = None
-    if deriv is not None:
-        # d(out)/d(rate) pairs the upstream gradient with the stage
-        # input through dM/dd: sum_m z[b,a,m,t] * zin[b,1,m,u]
-        pair = np.swapaxes(z, -1, -2) @ zin     # (B, A, n, n)
-        rate_grad = (pair * deriv).sum(axis=(1, 2, 3))
-    y = (z @ mats).sum(axis=1)                  # adjoint sampling, taps folded
-    y = np.moveaxis(y.reshape(b, g, *mid, n), -1, axis)
-    return np.ascontiguousarray(y), rate_grad
+def _clip_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-clip inner product of two arrays with a leading batch axis."""
+    batch = a.shape[0]
+    return (a.reshape(batch, 1, -1) @ b.reshape(batch, -1, 1)).ravel()
 
 
 def depthwise_conv3d(x, kernel, dilation=(1.0, 1.0, 1.0)) -> Tensor:
     """Extent-preserving depthwise 3-d convolution with real dilation rates.
 
-    ``x`` is (channels, T, H, W) or (batch, channels, T, H, W); ``kernel``
-    is (channels, kT, kH, kW) with odd extents, one filter per channel.
-    Integer dilations sample the exact dilated lattice with zero padding.
-    Fractional dilations sample the input at real-valued offsets through
-    trilinear interpolation of the surrounding voxels (zero outside the
-    volume), which keeps the output differentiable in the rates.
+    ``x`` is (batch, channels, T, H, W); ``kernel`` is (channels, kT, kH,
+    kW) with odd extents, one filter per channel. Integer dilations
+    sample the exact dilated lattice with zero padding. Fractional
+    dilations sample the input at real-valued offsets through trilinear
+    interpolation of the surrounding voxels (zero outside the volume),
+    which keeps the output differentiable in the rates. ``dilation`` is
+    a triple of floats shared by every clip, or a (batch, 3) tensor of
+    per-clip rates, which receives gradients.
 
-    ``dilation`` may be a triple of floats, a 3-vector tensor, or a
-    (batch, 3) tensor giving per-clip rates; tensor rates receive
-    gradients.
+    The trilinear sampling factors into one closed-form matrix per
+    (clip, axis, tap), built by ``_axis_matrices``. The forward resamples
+    the T taps and then the H taps as batched GEMMs, then folds the
+    kernel into the W axis, one W x W matrix per (clip, t-tap, h-tap,
+    channel), and contracts it with the resampled input. The largest
+    intermediate is kT*kH times the input. The backward runs these
+    stages' adjoints in reverse order; each rate's gradient dots the
+    output gradient of its stage with the stage rerun through dM/dd.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if kernel.data.ndim != 4:
         raise ShapeError(f"kernel must be (channels, kT, kH, kW), got {kernel.shape}")
     if any(k % 2 == 0 for k in kernel.shape[1:]):
         raise ConfigError(f"kernel extents must be odd, got {kernel.shape[1:]}")
-    if x.data.ndim not in (4, 5):
-        raise ShapeError(f"input must be (C, T, H, W) or (B, C, T, H, W), got {x.shape}")
-    if x.shape[-4] != kernel.shape[0]:
-        raise ShapeError(f"channel mismatch: input {x.shape[-4]} vs kernel {kernel.shape[0]}")
-
-    squeeze = x.data.ndim == 4
-    xb = x.data[None] if squeeze else x.data  # (B, C, T, H, W)
-    batch = xb.shape[0]
+    if x.data.ndim != 5:
+        raise ShapeError(f"input must be (B, C, T, H, W), got {x.shape}")
+    if x.shape[1] != kernel.shape[0]:
+        raise ShapeError(f"channel mismatch: input {x.shape[1]} vs kernel {kernel.shape[0]}")
+    batch, channels, t_n, h_n, w_n = x.shape
 
     dil_tensor = dilation if isinstance(dilation, Tensor) else None
     if dil_tensor is not None:
-        rates_arr = dil_tensor.data.astype(np.float64)
-        per_item = rates_arr.ndim == 2
-        if per_item:
-            if squeeze or rates_arr.shape != (batch, 3):
-                raise ShapeError(f"per-clip dilation needs ({batch}, 3) rates, got {dil_tensor.shape}")
-        elif rates_arr.shape != (3,):
-            raise ShapeError(f"dilation tensor must have shape (3,) or (batch, 3), got {dil_tensor.shape}")
+        rates = dil_tensor.data.astype(np.float64)
+        if rates.shape != (batch, 3):
+            raise ShapeError(f"per-clip dilation needs ({batch}, 3) rates, got {dil_tensor.shape}")
     else:
-        rates_arr = np.asarray([float(d) for d in dilation], dtype=np.float64)
-        if rates_arr.shape != (3,):
+        rates = np.asarray([float(d) for d in dilation], dtype=np.float64)
+        if rates.shape != (3,):
             raise ShapeError(f"dilation must give three rates, got {dilation!r}")
-        per_item = False
-    if rates_arr.min() < 1.0:
-        raise ValueError(f"dilation rates must be >= 1, got {rates_arr.min()}")
-    rates_all = rates_arr if per_item else np.broadcast_to(rates_arr, (batch, 3))
+        rates = np.broadcast_to(rates, (batch, 3))
+    if rates.min() < 1.0:
+        raise ValueError(f"dilation rates must be >= 1, got {rates.min()}")
 
     need_rate_grad = _grad_enabled and dil_tensor is not None and dil_tensor.requires_grad
     kern = kernel.data
     kt, kh, kw = kern.shape[1:]
-    channels, t_n, h_n, w_n = xb.shape[1:]
-    mt, dt_ = _axis_matrices(rates_all[:, 0], t_n, kt, xb.dtype, need_rate_grad)
-    mh, dh_ = _axis_matrices(rates_all[:, 1], h_n, kh, xb.dtype, need_rate_grad)
-    mw, dw_ = _axis_matrices(rates_all[:, 2], w_n, kw, xb.dtype, need_rate_grad)
+    mt, dmt = _axis_matrices(rates[:, 0], t_n, kt, x.data.dtype, need_rate_grad)
+    mh, dmh = _axis_matrices(rates[:, 1], h_n, kh, x.data.dtype, need_rate_grad)
+    mw, dmw = _axis_matrices(rates[:, 2], w_n, kw, x.data.dtype, need_rate_grad)
 
-    # one trilinearly resampled copy of x per kernel tap, built axis by
-    # axis; the flat tap index ends up ordered (w-tap, h-tap, t-tap)
-    xa, zin_t = _tap_expand(xb[:, None], mt, axis=3)
-    xab, zin_h = _tap_expand(xa, mh, axis=4)
-    xg, zin_w = _tap_expand(xab, mw, axis=5)
+    # u[b,a,c,t] = Mt[b,a] x[b,c] and v[b,a,e,c,t] = Mh[b,e] u[b,a,c,t]
+    xs = x.data.reshape(batch, 1, channels, t_n, h_n * w_n)
+    u = (mt[:, :, None] @ xs).reshape(batch, kt, 1, channels, t_n, h_n, w_n)
+    v = (mh[:, None, :, None, None] @ u).reshape(batch, kt, kh, channels, t_n * h_n, w_n)
+    # fold[b,a,e,c] = sum_f kern[c,a,e,f] Mw[b,f]^T, one (W, W) matrix
+    kflat = kern.transpose(1, 2, 0, 3).reshape(kt * kh * channels, kw)
+    fold = (kflat @ _swap(mw).reshape(batch, kw, -1)).reshape(batch, kt, kh, channels, w_n, w_n)
+    data = (v @ fold).sum(axis=(1, 2)).reshape(x.shape)
     if not need_rate_grad:
-        zin_t = zin_h = zin_w = None  # only the rate derivative needs them
-    taps = kt * kh * kw
-    k2 = np.ascontiguousarray(kern.transpose(0, 3, 2, 1)).reshape(channels, taps)
-    zt = np.ascontiguousarray(xg.transpose(0, 2, 3, 4, 5, 1))      # (B, C, T, H, W, K)
-    data = (zt.reshape(batch, channels, -1, taps)
-            @ k2[:, :, None]).reshape(batch, channels, t_n, h_n, w_n)
+        u = None  # only the rate derivative reads it
 
     def vjp(g):
-        gb = g[None] if squeeze else g
-        dx = dk = None
-        if kernel.requires_grad:
-            flat = t_n * h_n * w_n
-            zz = np.ascontiguousarray(zt.reshape(batch, channels, flat, taps)
-                                      .transpose(1, 3, 0, 2)).reshape(channels, taps, -1)
-            gg = np.ascontiguousarray(gb.reshape(batch, channels, flat)
-                                      .transpose(1, 0, 2)).reshape(channels, -1, 1)
-            dk2 = (zz @ gg)[..., 0]
-            dk = dk2.reshape(channels, kw, kh, kt).transpose(0, 3, 2, 1).copy()
+        g = g.reshape(batch, 1, 1, channels, t_n * h_n, w_n)
+        dx = dk = dd = None
+        if kernel.requires_grad or need_rate_grad:
+            dfold_t = (np.swapaxes(g, -1, -2) @ v).reshape(batch, -1, w_n * w_n)
+            if kernel.requires_grad:
+                dk = (dfold_t @ mw.reshape(batch, kw, -1).transpose(0, 2, 1)).sum(axis=0)
+                dk = dk.reshape(kt, kh, channels, kw).transpose(2, 0, 1, 3)
         if x.requires_grad or need_rate_grad:
-            q = gb[:, None] * k2.T.reshape(1, taps, channels, 1, 1, 1)
-            q, rg_w = _tap_reduce(q, mw, dw_, zin_w, axis=5)
-            q, rg_h = _tap_reduce(q, mh, dh_, zin_h, axis=4)
-            q, rg_t = _tap_reduce(q, mt, dt_, zin_t, axis=3)
+            dv = (g @ _swap(fold)).reshape(batch, kt, kh, channels, t_n, h_n, w_n)
+            du = (_swap(mh)[:, None, :, None, None] @ dv).sum(axis=2)
+            du = du.reshape(batch, kt, channels, t_n, h_n * w_n)
             if x.requires_grad:
-                dx = q.reshape(xb.shape)
-                if squeeze:
-                    dx = dx[0]
-        grads = [dx, dk]
-        if dil_tensor is not None:
-            if not need_rate_grad:
-                grads.append(None)
-            else:
-                dd = np.stack([rg_t, rg_h, rg_w], axis=1)
-                if not per_item:
-                    dd = dd.sum(axis=0)
-                grads.append(dd.astype(dil_tensor.data.dtype))
-        return tuple(grads)
+                dx = (_swap(mt)[:, :, None] @ du).sum(axis=1).reshape(x.shape)
+        if need_rate_grad:
+            dd = np.stack([_clip_dot(du, dmt[:, :, None] @ xs),
+                           _clip_dot(dv, dmh[:, None, :, None, None] @ u),
+                           _clip_dot(dfold_t, kflat @ dmw.reshape(batch, kw, -1))], axis=1)
+            dd = dd.astype(dil_tensor.data.dtype)
+        return (dx, dk) if dil_tensor is None else (dx, dk, dd)
 
-    out = data[0] if squeeze else data
     parents = (x, kernel) if dil_tensor is None else (x, kernel, dil_tensor)
-    return _result(out, parents, vjp, "depthwise_conv3d")
+    return _result(data, parents, vjp, "depthwise_conv3d")
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,7 @@ def test_identity_at_initialization():
                "3 variants x 3 placements, 10 clips, bitwise at float64")
 
 
+@pytest.mark.slow
 def test_gradient_correctness(tmp_path):
     """gradcheck passes at relative tolerance 1e-4 on the small
     verification geometry over adapter, rate-head, and classifier
@@ -132,7 +133,7 @@ def test_conv_reduction_to_plain_adapter():
             dil_w=Tensor(np.zeros((r, 3))),
             dil_b=Tensor(np.full(3, RATE_HEAD_BIAS)),
         )
-        x = Tensor(rng.normal(size=(frames * (gh * gw + 1), hidden)))
+        x = Tensor(rng.normal(size=(1, frames * (gh * gw + 1), hidden)))
         want = vanilla_adapter(x, w).data
         for variant in ("dw_conv3d", "d2_conv3d"):
             got = fe_adapter(x, w, AdapterConfig(variant=variant, r=r),
@@ -143,6 +144,7 @@ def test_conv_reduction_to_plain_adapter():
                f"max abs diff {worst:.2e} over 100 inputs x 2 variants")
 
 
+@pytest.mark.slow
 def test_temporal_sensitivity():
     """On the motion-only class pair (identical frames, opposite orbit
     order) the dynamic-conv adapter model separates the pair to >= 90%

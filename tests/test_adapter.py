@@ -116,10 +116,15 @@ class TestDilationRates:
     def test_fresh_head_starts_at_one(self):
         rng = np.random.default_rng(7)
         w = make_weights(rng, 16, 4, fresh_head=True)
-        grid = Tensor(rng.normal(size=(4, 3, 2, 2)))
+        grid = Tensor(rng.normal(size=(2, 4, 3, 2, 2)))
         rates = dilation_rates(grid, w.dil_w, w.dil_b).data
-        assert rates.shape == (3,)
+        assert rates.shape == (2, 3)
         assert np.abs(rates - 1.0).max() < 1e-6
+
+    def test_unbatched_grid_rejected(self):
+        w = make_weights(np.random.default_rng(17), 16, 4)
+        with pytest.raises(ShapeError, match="batch"):
+            dilation_rates(Tensor(np.zeros((4, 3, 2, 2))), w.dil_w, w.dil_b)
 
     def test_rates_never_below_one(self):
         rng = np.random.default_rng(8)
@@ -135,7 +140,7 @@ class TestDilationRates:
         rng = np.random.default_rng(9)
         dil_w = Tensor(rng.normal(size=(4, 3)), dtype=np.float64, requires_grad=True)
         dil_b = Tensor(rng.normal(size=(3,)), dtype=np.float64, requires_grad=True)
-        grid = Tensor(rng.normal(size=(4, 3, 2, 2)), dtype=np.float64, requires_grad=True)
+        grid = Tensor(rng.normal(size=(2, 4, 3, 2, 2)), dtype=np.float64, requires_grad=True)
         grads_close(lambda: weighted_scalar(dilation_rates(grid, dil_w, dil_b)),
                     [dil_w, dil_b, grid])
 
@@ -163,7 +168,7 @@ class TestFeAdapter:
             kern = np.zeros((4, 3, 3, 3))
             kern[:, 1, 1, 1] = 1.0
             w.kernel = Tensor(kern)
-            x = rng.normal(size=(2 * 5, 8))
+            x = rng.normal(size=(1, 2 * 5, 8))
             got = fe_adapter(Tensor(x), w, _conv_cfg(variant), frames=2, grid_hw=(2, 2)).data
             want = vanilla_adapter(Tensor(x), w).data
             assert np.abs(got - want).max() < 1e-6
@@ -173,7 +178,7 @@ class TestFeAdapter:
         frames, gh, gw, hidden = 6, 2, 2, 8
         w = make_weights(rng, hidden, 4, zero_up=False)
         frame_tokens = rng.normal(size=(gh * gw + 1, hidden))
-        x = np.tile(frame_tokens, (frames, 1))
+        x = np.tile(frame_tokens, (1, frames, 1))
         out = fe_adapter(Tensor(x), w, _conv_cfg("dw_conv3d"), frames=frames,
                          grid_hw=(gh, gw)).data
         per_frame = out.reshape(frames, gh * gw + 1, hidden)
@@ -197,13 +202,13 @@ class TestFeAdapter:
         rng = np.random.default_rng(14)
         channels, frames, gh, gw = 2, 7, 7, 7
         kern = Tensor(rng.normal(size=(channels, 3, 3, 3)), dtype=np.float64)
-        x = rng.normal(size=(channels, frames, gh, gw))
+        x = rng.normal(size=(1, channels, frames, gh, gw))
         for d in (1, 2):
             base = T.depthwise_conv3d(Tensor(x), kern, (float(d),) * 3).data
             bumped = x.copy()
-            bumped[:, 3, 3, 3] += 1.0
+            bumped[0, :, 3, 3, 3] += 1.0
             moved = T.depthwise_conv3d(Tensor(bumped), kern, (float(d),) * 3).data
-            diff = np.abs(moved - base).max(axis=0)
+            diff = np.abs(moved - base).max(axis=(0, 1))
             tt, hh, ww = np.nonzero(diff > 1e-12)
             cheb = np.maximum.reduce([np.abs(tt - 3), np.abs(hh - 3), np.abs(ww - 3)])
             assert cheb.max() <= d
@@ -221,8 +226,8 @@ class TestFeAdapter:
         mask[::s] = False  # every class token row
         varied[mask] = rng.normal(size=(mask.sum(), 8))
         cfg = _conv_cfg("dw_conv3d", activation="identity")
-        out_a = fe_adapter(Tensor(base), w, cfg, frames, (gh, gw)).data
-        out_b = fe_adapter(Tensor(varied), w, cfg, frames, (gh, gw)).data
+        out_a = fe_adapter(Tensor(base[None]), w, cfg, frames, (gh, gw)).data[0]
+        out_b = fe_adapter(Tensor(varied[None]), w, cfg, frames, (gh, gw)).data[0]
         np.testing.assert_allclose(out_a[::s] - base[::s], out_b[::s] - varied[::s],
                                    atol=1e-12)
 

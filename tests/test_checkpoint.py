@@ -1,6 +1,7 @@
 """Checkpoint format: bit-exact roundtrips, corruption handling,
 partial loads by tensor name."""
 
+import json
 import struct
 
 import numpy as np
@@ -93,6 +94,44 @@ class TestCorruption:
         path.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
+
+    def test_valid_json_key_flip_is_a_named_error(self, tmp_path):
+        # one XOR-flipped byte turns "tensors" into "uensors"; the header
+        # still decodes as JSON
+        m = randomized_model()
+        path = tmp_path / "ck.bin"
+        save_checkpoint(m, str(path))
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(b'"tensors"') + 1] ^= ord("t") ^ ord("u")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="'tensors' is not a list"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("field,value", [
+        ("config", []), ("seed", "7"), ("tensors", {}), ("entry", 5), ("name", None),
+        ("shape", ["4"]), ("shape", [-1]), ("dtype", "<f2"), ("offset", -8),
+        ("nbytes", "64"), ("trainable", 1),
+    ])
+    def test_misshapen_header_is_a_named_error(self, tmp_path, field, value):
+        m = randomized_model()
+        path = tmp_path / "ck.bin"
+        save_checkpoint(m, str(path))
+        blob = path.read_bytes()
+        start = len(MAGIC) + 8
+        hlen = struct.unpack("<I", blob[len(MAGIC) + 4:start])[0]
+        header = json.loads(blob[start:start + hlen])
+        if field in ("config", "seed", "tensors"):
+            header[field] = value
+        elif field == "entry":
+            header["tensors"][0] = value
+        else:
+            header["tensors"][0][field] = value
+        head = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:len(MAGIC) + 4] + struct.pack("<I", len(head)) + head
+                         + blob[start + hlen:])
+        for load in (load_checkpoint, lambda p: load_named_tensors(m, p, lambda name: True)):
+            with pytest.raises(CheckpointError, match="corrupt header"):
+                load(str(path))
 
     def test_load_into_mismatched_config_names_tensor(self, tmp_path):
         m = randomized_model()

@@ -107,6 +107,17 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "header" in err
 
+    def test_valid_json_key_flip_is_a_named_error(self, tiny_config, tmp_path, capsys):
+        exp = load_experiment_config(str(tiny_config))
+        ckpt = tmp_path / "ck.bin"
+        save_checkpoint(VideoViT(exp.model, seed=0), str(ckpt), echo=config_echo(exp))
+        blob = bytearray(ckpt.read_bytes())
+        blob[blob.index(b'"tensors"') + 1] ^= ord("t") ^ ord("u")   # -> "uensors"
+        ckpt.write_bytes(bytes(blob))
+        assert main(["eval", "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'tensors' is not a list" in err
+
 
 class TestSweepCommand:
     @pytest.mark.parametrize("kind,rows", [
@@ -182,6 +193,7 @@ data.clips_per_class = 1
 """
 
 
+@pytest.mark.slow
 class TestGradcheckCommand:
     @pytest.fixture
     def gc_config(self, tmp_path):

@@ -123,7 +123,7 @@ class TestGelu:
 class TestConv3d:
     def test_center_one_kernel_is_identity(self):
         rng = np.random.default_rng(6)
-        x = rng.normal(size=(2, 4, 5, 5)).astype(np.float32)
+        x = rng.normal(size=(2, 2, 4, 5, 5)).astype(np.float32)
         kern = np.zeros((2, 3, 3, 3), dtype=np.float32)
         kern[:, 1, 1, 1] = 1.0
         out = depthwise_conv3d(Tensor(x), Tensor(kern), (1.0, 1.0, 1.0))
@@ -132,24 +132,24 @@ class TestConv3d:
     def test_impulse_integer_dilation_lattice(self):
         # a unit impulse with a ones kernel at dilation 2 lights up the
         # 27 lattice sites at offsets in {-2, 0, 2}^3, nothing else
-        x = np.zeros((1, 5, 5, 5), dtype=np.float64)
-        x[0, 2, 2, 2] = 1.0
+        x = np.zeros((1, 1, 5, 5, 5), dtype=np.float64)
+        x[0, 0, 2, 2, 2] = 1.0
         kern = np.ones((1, 3, 3, 3), dtype=np.float64)
         out = depthwise_conv3d(Tensor(x), Tensor(kern), (2.0, 2.0, 2.0)).data
         expected = np.zeros_like(x)
         for dt in (-2, 0, 2):
             for dh in (-2, 0, 2):
                 for dw in (-2, 0, 2):
-                    expected[0, 2 + dt, 2 + dh, 2 + dw] = 1.0
+                    expected[0, 0, 2 + dt, 2 + dh, 2 + dw] = 1.0
         np.testing.assert_array_equal(out, expected)
-        np.testing.assert_array_equal(out, conv3d_oracle(x, kern, (2.0, 2.0, 2.0)))
+        np.testing.assert_array_equal(out[0], conv3d_oracle(x[0], kern, (2.0, 2.0, 2.0)))
 
     def test_impulse_fractional_dilation_trilinear_weights(self):
         # temporal offsets at +-1.5 split the impulse response between
         # the two surrounding frames with weight 1/2 each; total mass
         # matches the integer-dilation response
-        x = np.zeros((1, 7, 3, 3), dtype=np.float64)
-        x[0, 3, 1, 1] = 1.0
+        x = np.zeros((1, 1, 7, 3, 3), dtype=np.float64)
+        x[0, 0, 3, 1, 1] = 1.0
         kern = np.zeros((1, 3, 1, 1), dtype=np.float64)
         kern[0, :, 0, 0] = 1.0
         out = depthwise_conv3d(Tensor(x), Tensor(kern), (1.5, 1.0, 1.0)).data
@@ -157,64 +157,108 @@ class TestConv3d:
         # offsets a in {-1, 0, +1}: t=3 exactly (center tap), and the
         # fractional taps contribute 0.5 at t in {1, 2} and {4, 5}
         expected = np.zeros_like(x)
-        expected[0, 3, 1, 1] = 1.0
-        expected[0, 1, 1, 1] = expected[0, 2, 1, 1] = 0.5
-        expected[0, 4, 1, 1] = expected[0, 5, 1, 1] = 0.5
+        expected[0, 0, 3, 1, 1] = 1.0
+        expected[0, 0, 1, 1, 1] = expected[0, 0, 2, 1, 1] = 0.5
+        expected[0, 0, 4, 1, 1] = expected[0, 0, 5, 1, 1] = 0.5
         np.testing.assert_allclose(out, expected, atol=1e-12)
         integer_mass = depthwise_conv3d(Tensor(x), Tensor(kern), (1.0, 1.0, 1.0)).data.sum()
         assert abs(out.sum() - integer_mass) < 1e-12
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, 4, 4, 4))
+        x = rng.normal(size=(1, 2, 4, 4, 4))
         kern = rng.normal(size=(2, 3, 3, 3))
         for rates in [(1.0, 1.0, 1.0), (2.0, 1.0, 1.0), (1.3, 1.7, 2.4), (1.0, 2.9, 1.1)]:
             out = depthwise_conv3d(Tensor(x, dtype=np.float64),
                                    Tensor(kern, dtype=np.float64), rates).data
-            np.testing.assert_allclose(out, conv3d_oracle(x, kern, rates), atol=1e-12)
+            np.testing.assert_allclose(out[0], conv3d_oracle(x[0], kern, rates), atol=1e-12)
+
+    def test_per_clip_rates_non_cubic_kernel_and_lattice_match_oracle(self):
+        # every axis has its own extent and kernel extent (kH = 1 leaves
+        # H unsampled), and each clip its own rates, one of them integer
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(3, 2, 5, 4, 6))
+        kern = rng.normal(size=(2, 3, 1, 5))
+        rates = np.array([[1.0, 1.0, 1.0], [1.37, 2.0, 1.81], [2.6, 1.24, 2.0]])
+        out = depthwise_conv3d(Tensor(x, dtype=np.float64), Tensor(kern, dtype=np.float64),
+                               Tensor(rates, dtype=np.float64)).data
+        for clip in range(3):
+            np.testing.assert_allclose(out[clip], conv3d_oracle(x[clip], kern, rates[clip]),
+                                       atol=1e-12)
 
     def test_fractional_path_continuous_at_integer(self):
         rng = np.random.default_rng(8)
-        x = Tensor(rng.normal(size=(1, 5, 5, 5)), dtype=np.float64)
+        x = Tensor(rng.normal(size=(1, 1, 5, 5, 5)), dtype=np.float64)
         kern = Tensor(rng.normal(size=(1, 3, 3, 3)), dtype=np.float64)
         exact = depthwise_conv3d(x, kern, (2.0, 2.0, 2.0)).data
         above = depthwise_conv3d(x, kern, (2.0 + 1e-9, 2.0, 2.0 + 1e-9)).data
         below = depthwise_conv3d(x, kern, (2.0 - 1e-9, 2.0 - 1e-9, 2.0)).data
         assert np.abs(exact - above).max() < 1e-6
         assert np.abs(exact - below).max() < 1e-6
-        np.testing.assert_allclose(exact, conv3d_oracle(x.data, kern.data, (2, 2, 2)), atol=1e-12)
+        np.testing.assert_allclose(exact[0], conv3d_oracle(x.data[0], kern.data, (2, 2, 2)),
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("rate", [1.0, 2.0, 1.37, 2.64])
+    def test_axis_matrix_derivative_is_right_difference(self, rate):
+        # dM/dd must be the one-sided slope toward larger rates, also at
+        # the kinks an integer rate puts on every off-center tap
+        h = 1e-7
+        rates = np.array([rate, rate + 0.5])
+        mats, deriv = T._axis_matrices(rates, 6, 5, np.float64, True)
+        moved, none = T._axis_matrices(rates + h, 6, 5, np.float64, False)
+        assert none is None
+        np.testing.assert_array_equal(mats, T._axis_matrices(rates, 6, 5, np.float64, False)[0])
+        np.testing.assert_allclose(deriv, (moved - mats) / h, atol=1e-6)
 
     def test_even_kernel_extent_rejected(self):
         with pytest.raises(ConfigError):
-            depthwise_conv3d(Tensor(np.ones((1, 4, 4, 4))), Tensor(np.ones((1, 2, 3, 3))))
+            depthwise_conv3d(Tensor(np.ones((1, 1, 4, 4, 4))), Tensor(np.ones((1, 2, 3, 3))))
 
     def test_dilation_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            depthwise_conv3d(Tensor(np.ones((1, 4, 4, 4))), Tensor(np.ones((1, 3, 3, 3))),
+        with pytest.raises(ValueError, match="dilation rates must be >= 1"):
+            depthwise_conv3d(Tensor(np.ones((1, 1, 4, 4, 4))), Tensor(np.ones((1, 3, 3, 3))),
                              (0.5, 1.0, 1.0))
 
     def test_channel_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            depthwise_conv3d(Tensor(np.ones((2, 4, 4, 4))), Tensor(np.ones((3, 3, 3, 3))))
+        with pytest.raises(ShapeError, match="channel mismatch"):
+            depthwise_conv3d(Tensor(np.ones((1, 2, 4, 4, 4))), Tensor(np.ones((3, 3, 3, 3))))
+
+    def test_unbatched_input_and_shared_rate_tensor_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(B, C, T, H, W\)"):
+            depthwise_conv3d(Tensor(np.ones((1, 4, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
+        with pytest.raises(ShapeError, match=r"\(2, 3\) rates"):
+            depthwise_conv3d(Tensor(np.ones((2, 1, 4, 4, 4))), Tensor(np.ones((1, 3, 3, 3))),
+                             Tensor([1.5, 1.0, 1.0]))
 
     def test_gradients_input_and_kernel(self):
         rng = np.random.default_rng(9)
-        x = Tensor(rng.normal(size=(2, 3, 4, 4)), dtype=np.float64, requires_grad=True)
+        x = Tensor(rng.normal(size=(1, 2, 3, 4, 4)), dtype=np.float64, requires_grad=True)
         kern = Tensor(rng.normal(size=(2, 3, 3, 3)), dtype=np.float64, requires_grad=True)
         grads_close(lambda: weighted_scalar(depthwise_conv3d(x, kern, (1.4, 1.0, 2.2))), [x, kern])
 
     def test_gradients_shared_tensor_rates(self):
+        # one rate triple broadcast to every clip collects the clips'
+        # summed rate gradients
         rng = np.random.default_rng(10)
-        x = Tensor(rng.normal(size=(1, 4, 4, 4)), dtype=np.float64, requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 1, 4, 4, 4)), dtype=np.float64, requires_grad=True)
         kern = Tensor(rng.normal(size=(1, 3, 3, 3)), dtype=np.float64, requires_grad=True)
         rates = Tensor([1.37, 1.81, 1.24], dtype=np.float64, requires_grad=True)
-        grads_close(lambda: weighted_scalar(depthwise_conv3d(x, kern, rates)), [x, kern, rates])
+        grads_close(lambda: weighted_scalar(depthwise_conv3d(
+            x, kern, T.broadcast_to(T.reshape(rates, (1, 3)), (2, 3)))), [x, kern, rates])
 
     def test_gradients_per_clip_rates(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(2, 2, 4, 3, 3)), dtype=np.float64, requires_grad=True)
         kern = Tensor(rng.normal(size=(2, 3, 3, 3)), dtype=np.float64, requires_grad=True)
         rates = Tensor([[1.21, 1.66, 1.05], [2.13, 1.11, 1.48]], dtype=np.float64,
+                       requires_grad=True)
+        grads_close(lambda: weighted_scalar(depthwise_conv3d(x, kern, rates)), [x, kern, rates])
+
+    def test_gradients_per_clip_rates_non_cubic_kernel_and_lattice(self):
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.normal(size=(2, 2, 5, 3, 4)), dtype=np.float64, requires_grad=True)
+        kern = Tensor(rng.normal(size=(2, 3, 1, 5)), dtype=np.float64, requires_grad=True)
+        rates = Tensor([[1.33, 1.72, 1.18], [2.41, 1.09, 1.57]], dtype=np.float64,
                        requires_grad=True)
         grads_close(lambda: weighted_scalar(depthwise_conv3d(x, kern, rates)), [x, kern, rates])
 
@@ -358,6 +402,7 @@ class TestOpGradientProperties:
         grads_close(lambda: T.cross_entropy(logits, labels), [logits])
 
 
+@pytest.mark.slow
 class TestFullModelGradients:
     def test_every_parameter_group_matches_finite_differences(self):
         # micro geometry keeps the coordinate count small enough to
@@ -396,7 +441,7 @@ class TestCrossEntropy:
 class TestDeterminismAndGuards:
     def test_ops_bitwise_deterministic(self):
         rng = np.random.default_rng(18)
-        x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+        x = rng.normal(size=(1, 2, 3, 4, 4)).astype(np.float32)
         k = rng.normal(size=(2, 3, 3, 3)).astype(np.float32)
         a = depthwise_conv3d(Tensor(x), Tensor(k), (1.5, 1.2, 1.0)).data
         b = depthwise_conv3d(Tensor(x), Tensor(k), (1.5, 1.2, 1.0)).data
