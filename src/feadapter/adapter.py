@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor as T
-from .config import AdapterConfig, ModelConfig, group_is_trainable, parameter_layout
+from .config import (PARAM_BUDGET_TARGET, AdapterConfig, ModelConfig, group_is_trainable,
+                     parameter_layout)
 from .errors import ShapeError, UsageError
 from .tensor import Tensor
 
@@ -190,19 +191,19 @@ def adapter_params_per_block(hidden: int, r: int, kernel=(3, 3, 3),
 
 def derive_bottleneck_width(hidden: int, depth: int, classes: int,
                             kernel=(3, 3, 3), variant: str = "d2_conv3d",
-                            target: int = 6_600_000) -> int:
+                            target: int = PARAM_BUDGET_TARGET) -> int:
     """Invert the closed-form tunable count (adapters in every block
-    plus the classifier head) for the bottleneck width closest to the
-    parameter budget target. For the reference geometry (hidden 768,
-    depth 12, 7 classes) this lands on r = 350."""
+    plus the classifier head) for the bottleneck width in [1, hidden)
+    closest to the parameter budget target, the smaller one on a tie.
+    For the reference geometry (hidden 768, depth 12, 7 classes) this
+    lands on r = 350."""
     head = hidden * classes + classes
 
     def tunable(r):
         return depth * adapter_params_per_block(hidden, r, kernel, variant) + head
 
-    best, best_err = 1, abs(tunable(1) - target)
-    for r in range(2, hidden):
-        err = abs(tunable(r) - target)
-        if err < best_err:
-            best, best_err = r, err
-    return best
+    # the count is linear in r, so the best width is next to the exact root
+    slope = tunable(1) - tunable(0)
+    root = (target - tunable(0)) // slope if slope > 0 else 1
+    candidates = {min(max(r, 1), max(hidden - 1, 1)) for r in (root, root + 1)}
+    return min(candidates, key=lambda r: (abs(tunable(r) - target), r))

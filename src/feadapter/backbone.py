@@ -19,19 +19,6 @@ from .errors import ConfigError, ShapeError, UsageError
 from .tensor import Tensor
 
 
-def patchify(frame, patch: int) -> Tensor:
-    """Split a (3, H, W) frame into raster-ordered rows of channel-major
-    flattened PxP patches: (N, 3*P*P) with N = H*W/P^2."""
-    arr = frame.data if isinstance(frame, Tensor) else np.asarray(frame)
-    if arr.ndim != 3 or arr.shape[0] != 3:
-        raise ShapeError(f"expected a (3, H, W) frame, got {arr.shape}")
-    _, h, w = arr.shape
-    if h % patch or w % patch:
-        raise ConfigError(f"frame extents {h}x{w} not divisible by patch {patch}")
-    out = patchify_clips(arr[None, None], patch)[0, 0]
-    return Tensor(out)
-
-
 def patchify_clips(clips: np.ndarray, patch: int) -> np.ndarray:
     """(B, T, 3, H, W) -> (B, T, N, 3*P*P), raster patch order."""
     b, t, c, h, w = clips.shape
@@ -52,11 +39,6 @@ def embed_tokens(patches, proj_w, proj_b, cls_token, pos_embed) -> Tensor:
     hidden = tok.shape[-1]
     cls = T.broadcast_to(cls_token, (*lead, 1, hidden))
     return T.concat([cls, tok], axis=-2) + pos_embed
-
-
-def embed_frame(patches, proj_w, proj_b, cls_token, pos_embed) -> Tensor:
-    """(N, 3*P*P) patch rows -> (N+1, hidden) embedded tokens."""
-    return embed_tokens(patches, proj_w, proj_b, cls_token, pos_embed)
 
 
 def _swap_last(t: Tensor) -> Tensor:
@@ -149,8 +131,6 @@ class VideoViT:
     def _check_clips(self, clips: np.ndarray) -> np.ndarray:
         cfg = self.cfg
         expected = (cfg.frames, 3, cfg.height, cfg.width)
-        if clips.ndim == 4:
-            clips = clips[None]
         if clips.ndim != 5 or clips.shape[1:] != expected:
             raise ShapeError(
                 f"clip extents {clips.shape} do not match expected (batch,)+{expected}")
@@ -249,17 +229,12 @@ class VideoViT:
         return T.layer_norm(pooled, p["final_norm.gamma"], p["final_norm.beta"])
 
     def forward(self, clips, start: int | None = None) -> Tensor:
-        """Logits for one clip (classes,) or a batch (batch, classes).
-        ``start`` is as for ``encode``."""
-        single = start is None and np.asarray(clips).ndim == 4
+        """Logits for a batch of clips, (batch, classes). ``start`` is as
+        for ``encode``."""
         feats = self.encode(clips, start)
-        logits = T.matmul(feats, self.params["head.weight"]) + self.params["head.bias"]
-        return logits[0] if single else logits
+        return T.matmul(feats, self.params["head.weight"]) + self.params["head.bias"]
 
     # -- parameter access ---------------------------------------------
-
-    def named_parameters(self):
-        return self.params.items()
 
     def trainable_parameters(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.params.items() if v.requires_grad}
@@ -267,15 +242,3 @@ class VideoViT:
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.grad = None
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.data for k, v in self.params.items()}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, arr in arrays.items():
-            if name not in self.params:
-                raise ShapeError(f"unknown tensor {name!r} for this configuration")
-            dst = self.params[name]
-            if tuple(arr.shape) != dst.shape:
-                raise ShapeError(f"tensor {name!r}: shape {arr.shape} does not match {dst.shape}")
-            dst.data = arr.astype(dst.data.dtype, copy=True)

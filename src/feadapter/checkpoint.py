@@ -10,13 +10,14 @@ bit-exact across platforms.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
 from .backbone import VideoViT
-from .config import ExperimentConfig, TrainConfig, config_echo, experiment_from_echo
-from .errors import CheckpointError
+from .config import ExperimentConfig, TrainConfig, _is_int, config_echo, experiment_from_echo
+from .errors import CheckpointError, ConfigError
 
 MAGIC = b"FEADCKPT"
 VERSION = 1
@@ -83,7 +84,7 @@ def read_checkpoint_header(path: str) -> dict:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(head.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past int()'s digit limit
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: corrupt header (not a JSON object)")
@@ -94,24 +95,25 @@ def read_checkpoint_header(path: str) -> dict:
     return header
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _header_problem(header: dict) -> str | None:
     """What is wrong with a decoded header's shape, or None: readers
     index every field below without further checks."""
     if not isinstance(header.get("config"), dict):
         return "'config' is not an object"
-    if not _is_int(header.get("seed", 0)):
-        return "'seed' is not an integer"
+    seed = header.get("seed", 0)
+    if not (_is_int(seed) and seed >= 0):
+        return "'seed' is not a non-negative integer"
     tensors = header.get("tensors")
     if not isinstance(tensors, list):
         return "'tensors' is not a list"
+    names = set()
     for i, entry in enumerate(tensors):
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
             return f"tensor entry {i} is not an object with a string 'name'"
         name, shape = entry["name"], entry.get("shape")
+        if name in names:
+            return f"tensor {name!r} listed twice"
+        names.add(name)
         if not (isinstance(shape, list) and all(_is_int(n) and n >= 0 for n in shape)):
             return f"tensor {name!r} has a bad 'shape'"
         if entry.get("dtype") not in WIRE_DTYPES:
@@ -124,57 +126,26 @@ def _header_problem(header: dict) -> str | None:
 
 
 def _read_tensor(payload: bytes, entry: dict, path: str) -> np.ndarray:
-    lo, n = entry["offset"], entry["nbytes"]
+    lo, n, shape = entry["offset"], entry["nbytes"], entry["shape"]
+    expected = math.prod(shape) * np.dtype(entry["dtype"]).itemsize
+    if n != expected:
+        raise CheckpointError(f"{path}: tensor {entry['name']!r} has {n} bytes, expected {expected}")
     if lo + n > len(payload):
         raise CheckpointError(f"{path}: truncated payload at tensor {entry['name']!r}")
-    arr = np.frombuffer(payload[lo:lo + n], dtype=entry["dtype"])
-    expected = int(np.prod(entry["shape"])) if entry["shape"] else 1
-    if arr.size != expected:
-        raise CheckpointError(f"{path}: tensor {entry['name']!r} has {arr.size} values, expected {expected}")
-    return arr.reshape(entry["shape"])
+    return np.frombuffer(payload[lo:lo + n], dtype=entry["dtype"]).reshape(shape)
 
 
-def load_checkpoint(path: str) -> VideoViT:
-    """Rebuild the model the checkpoint describes and restore every
-    tensor and freeze flag bit-exactly."""
-    header = read_checkpoint_header(path)
-    exp = experiment_from_echo(header["config"])
-    dtype = np.float64 if any(e["dtype"] == "<f8" for e in header["tensors"]) else np.float32
-    model = VideoViT(exp.model, seed=int(header.get("seed", 0)), dtype=dtype)
+def _copy_tensors(model: VideoViT, path: str, header: dict, wanted) -> list[dict]:
+    """Copy every stored tensor whose name ``wanted`` accepts into
+    ``model``, checking that the model has it and that the shapes agree.
+    Returns the copied directory entries."""
     with open(path, "rb") as fh:
         fh.seek(header["_payload_start"])
         payload = fh.read()
-    stored = {e["name"] for e in header["tensors"]}
-    missing = set(model.params) - stored
-    if missing:
-        raise CheckpointError(f"{path}: missing tensors for this config: {sorted(missing)[0]!r}")
+    copied = []
     for entry in header["tensors"]:
         name = entry["name"]
-        if name not in model.params:
-            raise CheckpointError(f"{path}: unexpected tensor {name!r} for the echoed config")
-        arr = _read_tensor(payload, entry, path)
-        dst = model.params[name]
-        if tuple(arr.shape) != dst.shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} shape {tuple(arr.shape)} does not match model shape {dst.shape}")
-        dst.data = arr.astype(model.dtype, copy=True)
-        dst.requires_grad = bool(entry["trainable"])
-    return model
-
-
-def load_named_tensors(model: VideoViT, path: str, predicate) -> list[str]:
-    """Copy only the stored tensors whose names satisfy ``predicate``
-    into an existing model (partial load, e.g. backbone-only weights
-    from an externally trained image model). Returns the loaded names;
-    everything else is left untouched."""
-    header = read_checkpoint_header(path)
-    with open(path, "rb") as fh:
-        fh.seek(header["_payload_start"])
-        payload = fh.read()
-    loaded = []
-    for entry in header["tensors"]:
-        name = entry["name"]
-        if not predicate(name):
+        if not wanted(name):
             continue
         if name not in model.params:
             raise CheckpointError(f"{path}: tensor {name!r} does not exist in the target model")
@@ -184,5 +155,32 @@ def load_named_tensors(model: VideoViT, path: str, predicate) -> list[str]:
             raise CheckpointError(
                 f"{path}: tensor {name!r} shape {tuple(arr.shape)} does not match model shape {dst.shape}")
         dst.data = arr.astype(model.dtype, copy=True)
-        loaded.append(name)
-    return loaded
+        copied.append(entry)
+    return copied
+
+
+def load_checkpoint(path: str) -> VideoViT:
+    """Rebuild the model the checkpoint describes and restore every
+    tensor and freeze flag bit-exactly."""
+    header = read_checkpoint_header(path)
+    try:
+        exp = experiment_from_echo(header["config"])
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: bad config echo ({exc})") from exc
+    dtype = np.float64 if any(e["dtype"] == "<f8" for e in header["tensors"]) else np.float32
+    model = VideoViT(exp.model, seed=header.get("seed", 0), dtype=dtype)
+    missing = set(model.params) - {e["name"] for e in header["tensors"]}
+    if missing:
+        raise CheckpointError(f"{path}: missing tensors for this config: {sorted(missing)[0]!r}")
+    for entry in _copy_tensors(model, path, header, lambda name: True):
+        model.params[entry["name"]].requires_grad = entry["trainable"]
+    return model
+
+
+def load_named_tensors(model: VideoViT, path: str, predicate) -> list[str]:
+    """Copy only the stored tensors whose names satisfy ``predicate``
+    into an existing model (partial load, e.g. backbone-only weights
+    from an externally trained image model). Returns the loaded names;
+    everything else is left untouched."""
+    header = read_checkpoint_header(path)
+    return [entry["name"] for entry in _copy_tensors(model, path, header, predicate)]

@@ -13,14 +13,14 @@ import numpy as np
 from .adapter import count_tunable_params
 from .backbone import VideoViT
 from .checkpoint import load_checkpoint, read_checkpoint_header, save_checkpoint
-from .config import (ExperimentConfig, config_echo, experiment_from_values,
-                     load_experiment_config, with_overrides)
+from .config import (ExperimentConfig, config_echo, experiment_from_echo,
+                     experiment_from_values, load_experiment_config, with_overrides)
 from .data import synth_dataset
 from .errors import (CheckpointError, ConfigError, NonFiniteError,
                      TrainingDiverged, UsageError)
 from .gradcheck import gradcheck_model, randomize_trainable
 from .reports import write_records
-from .training import backbone_digest, evaluate_model, train
+from .training import apply_freeze, evaluate_model, frozen_digest, train
 
 SWEEP_KINDS = ("temporal_conv", "global_position", "local_position")
 
@@ -61,9 +61,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    header = read_checkpoint_header(args.checkpoint)
-    from .config import experiment_from_echo
-    exp = experiment_from_echo(header["config"])
+    exp = experiment_from_echo(read_checkpoint_header(args.checkpoint)["config"])
     data = _dataset_for(exp)
     m = evaluate_model(model, data)
     print(f"UAR {m.uar:.4f}  WAR {m.war:.4f}")
@@ -129,7 +127,7 @@ def _run_sweep_cell(payload) -> dict:
         "war": r.war,
         "trainable_params": r.trainable_params,
         "total_params": r.total_params,
-        "backbone_sha256": backbone_digest(model),
+        "backbone_sha256": frozen_digest(model),
     }
 
 
@@ -188,7 +186,6 @@ def cmd_count_params(args) -> int:
 def cmd_gradcheck(args) -> int:
     exp = with_overrides(load_experiment_config(args.config), args.seed, None)
     model = VideoViT(exp.model, seed=exp.train.seed, dtype=np.float64)  # 64-bit forced
-    from .training import apply_freeze
     apply_freeze(model, exp.train.freeze)
     randomize_trainable(model, exp.train.seed)
     data = _dataset_for(exp)

@@ -3,8 +3,9 @@ flat key-value experiment-config file format."""
 
 from __future__ import annotations
 
-import os
+import sys
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .errors import ConfigError
 
@@ -37,8 +38,7 @@ class AdapterConfig:
             raise ConfigError(f"unknown adapter position {self.position!r}; expected one of {ADAPTER_POSITIONS}")
         if self.activation not in ADAPTER_ACTIVATIONS:
             raise ConfigError(f"unknown adapter activation {self.activation!r}")
-        if self.r < 1:
-            raise ConfigError(f"bottleneck width must be >= 1, got {self.r}")
+        _at_least(1, r=self.r)
         if len(self.kernel) != 3 or any(k < 1 or k % 2 == 0 for k in self.kernel):
             raise ConfigError(f"kernel extents must be odd and positive, got {self.kernel}")
 
@@ -71,17 +71,16 @@ class ModelConfig:
     adapter: AdapterConfig = field(default_factory=AdapterConfig)
 
     def __post_init__(self):
-        if self.frames < 1:
-            raise ConfigError(f"frames must be >= 1, got {self.frames}")
+        _at_least(1, frames=self.frames, height=self.height, width=self.width, patch=self.patch,
+                  hidden=self.hidden, depth=self.depth, heads=self.heads)
+        _at_least(2, classes=self.classes)
+        _positive(mlp_ratio=self.mlp_ratio)
+        _at_least(1, mlp_width=self.hidden * self.mlp_ratio)
         if self.height % self.patch or self.width % self.patch:
             raise ConfigError(
                 f"frame extents {self.height}x{self.width} not divisible by patch {self.patch}")
         if self.hidden % self.heads:
             raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
-        if self.classes < 2:
-            raise ConfigError(f"classes must be >= 2, got {self.classes}")
         if self.adapter.variant != "none":
             if self.adapter.r >= self.hidden:
                 raise ConfigError(
@@ -122,14 +121,9 @@ class TrainConfig:
     freeze: str = "adapter"
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch < 1:
-            raise ConfigError(f"batch must be >= 1, got {self.batch}")
-        if self.eval_every < 1:
-            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
+        _positive(lr=self.lr)
+        _at_least(0, weight_decay=self.weight_decay, min_lr=self.min_lr, seed=self.seed)
+        _at_least(1, batch=self.batch, epochs=self.epochs, eval_every=self.eval_every)
         if self.freeze not in FREEZE_MODES:
             raise ConfigError(f"unknown freeze mode {self.freeze!r}; expected one of {FREEZE_MODES}")
 
@@ -141,7 +135,30 @@ class ExperimentConfig:
     clips_per_class: int = 40
     noise: float = 0.02
     out_dir: str = "runs/default"
-    raw: dict = field(default_factory=dict, compare=False)
+
+    def __post_init__(self):
+        _at_least(1, clips_per_class=self.clips_per_class)
+        _at_least(0, noise=self.noise)
+        check_freeze(self.model, self.train.freeze)
+
+
+# Numbers must be finite floats; an integer beyond the largest one is
+# rejected before any arithmetic could overflow on it.
+_FINITE_MAX = sys.float_info.max
+
+
+def _at_least(low, **values) -> None:
+    """Raise a ConfigError naming the first value that is not a finite
+    number >= low (NaN included)."""
+    for name, value in values.items():
+        if not low <= value <= _FINITE_MAX:
+            raise ConfigError(f"{name} must be >= {low} and finite, got {value}")
+
+
+def _positive(**values) -> None:
+    for name, value in values.items():
+        if not 0 < value <= _FINITE_MAX:
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +229,16 @@ def parameter_layout(cfg: ModelConfig) -> list[ParamSpec]:
     return specs
 
 
+def check_freeze(cfg: ModelConfig, mode: str) -> None:
+    """The adapters a freeze mode needs: 'adapter' trains them, so there
+    must be some; 'temporal_aggregation' is the adapter-free baseline."""
+    active = cfg.adapter.active(cfg.depth)
+    if mode == "adapter" and not active:
+        raise ConfigError("freeze mode 'adapter' requires an adapter variant other than 'none'")
+    if mode == "temporal_aggregation" and active:
+        raise ConfigError("freeze mode 'temporal_aggregation' requires adapter variant 'none'")
+
+
 def group_is_trainable(group: str, mode: str) -> bool:
     """Whether a parameter group trains under a freeze mode. The
     classifier head trains in every mode."""
@@ -230,59 +257,108 @@ def group_is_trainable(group: str, mode: str) -> bool:
 # experiment-config files: flat "section.key = value" lines
 # ---------------------------------------------------------------------------
 
-_SCHEMA: dict[str, type | str] = {
-    "model.frames": int,
-    "model.height": int,
-    "model.width": int,
-    "model.patch": int,
-    "model.hidden": int,
-    "model.depth": int,
-    "model.heads": int,
-    "model.mlp_ratio": float,
-    "model.classes": int,
-    "adapter.variant": str,
-    "adapter.r": "int_or_auto",
-    "adapter.blocks": str,
-    "adapter.position": str,
-    "adapter.kernel": str,
-    "adapter.activation": str,
-    "train.lr": float,
-    "train.weight_decay": float,
-    "train.batch": int,
-    "train.epochs": int,
-    "train.seed": int,
-    "train.eval_every": int,
-    "train.min_lr": float,
-    "train.freeze": str,
-    "data.clips_per_class": int,
-    "data.noise": float,
-    "out.dir": str,
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Each parser takes a value as config text, as a config echo's JSON value
+# or as its own output, and returns the dataclass field value; it raises
+# ValueError or TypeError on anything else.
+
+def _int(value) -> int:
+    value = int(value) if isinstance(value, str) else value
+    if not _is_int(value):
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
+def _float(value) -> float:
+    if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"not a string: {value!r}")
+    return value
+
+
+def _int_or_auto(value) -> int | str:
+    return "auto" if isinstance(value, str) and value.lower() == "auto" else _int(value)
+
+
+def _blocks(value) -> tuple[int, ...] | None:
+    """'all' (None), or comma-separated 1-based indices and lo-hi ranges."""
+    if isinstance(value, str):
+        if value.strip().lower() == "all":
+            return None
+        out: list[int] = []
+        for part in filter(None, (p.strip() for p in value.split(","))):
+            lo, dash, hi = part.partition("-")
+            out.extend(range(int(lo), int(hi if dash else lo) + 1))
+        if not out:
+            raise ValueError("names no blocks")
+        return tuple(out)
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"not a block list: {value!r}")
+    return tuple(_int(b) for b in value)
+
+
+def _kernel(value) -> tuple[int, int, int]:
+    parts = value.split(",") if isinstance(value, str) else value
+    if not isinstance(parts, (list, tuple)) or len(parts) != 3:
+        raise ValueError("not three comma-separated extents")
+    return tuple(_int(p) for p in parts)  # type: ignore[return-value]
+
+
+def _show_blocks(blocks) -> str:
+    return "all" if blocks is None else ",".join(map(str, blocks))
+
+
+def _show_kernel(kernel) -> str:
+    return ",".join(map(str, kernel))
+
+
+# key -> (dataclass, field, parser, echo formatter or None to echo as is).
+# The defaults are the dataclass field defaults.
+_KEYS: dict[str, tuple[type, str, Callable, Callable | None]] = {
+    "model.frames": (ModelConfig, "frames", _int, None),
+    "model.height": (ModelConfig, "height", _int, None),
+    "model.width": (ModelConfig, "width", _int, None),
+    "model.patch": (ModelConfig, "patch", _int, None),
+    "model.hidden": (ModelConfig, "hidden", _int, None),
+    "model.depth": (ModelConfig, "depth", _int, None),
+    "model.heads": (ModelConfig, "heads", _int, None),
+    "model.mlp_ratio": (ModelConfig, "mlp_ratio", _float, None),
+    "model.classes": (ModelConfig, "classes", _int, None),
+    "adapter.variant": (AdapterConfig, "variant", _str, None),
+    "adapter.r": (AdapterConfig, "r", _int_or_auto, None),
+    "adapter.blocks": (AdapterConfig, "blocks", _blocks, _show_blocks),
+    "adapter.position": (AdapterConfig, "position", _str, None),
+    "adapter.kernel": (AdapterConfig, "kernel", _kernel, _show_kernel),
+    "adapter.activation": (AdapterConfig, "activation", _str, None),
+    "train.lr": (TrainConfig, "lr", _float, None),
+    "train.weight_decay": (TrainConfig, "weight_decay", _float, None),
+    "train.batch": (TrainConfig, "batch", _int, None),
+    "train.epochs": (TrainConfig, "epochs", _int, None),
+    "train.seed": (TrainConfig, "seed", _int, None),
+    "train.eval_every": (TrainConfig, "eval_every", _int, None),
+    "train.min_lr": (TrainConfig, "min_lr", _float, None),
+    "train.freeze": (TrainConfig, "freeze", _str, None),
+    "data.clips_per_class": (ExperimentConfig, "clips_per_class", _int, None),
+    "data.noise": (ExperimentConfig, "noise", _float, None),
+    "out.dir": (ExperimentConfig, "out_dir", _str, None),
 }
 
 
-def _parse_blocks(text: str) -> tuple[int, ...] | None:
-    if text.strip().lower() == "all":
-        return None
-    out: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
-    if not out:
-        raise ConfigError(f"adapter.blocks gives no blocks: {text!r}")
-    return tuple(out)
-
-
-def _parse_kernel(text: str) -> tuple[int, int, int]:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"adapter.kernel must be three comma-separated extents, got {text!r}")
-    return tuple(parts)  # type: ignore[return-value]
+def _parse(key: str, value, where: str = ""):
+    try:
+        return _KEYS[key][2](value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"{where}bad value for {key!r}: {value!r}") from exc
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -297,120 +373,60 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate config key {key!r}")
-        kind = _SCHEMA[key]
-        try:
-            if kind == "int_or_auto":
-                values[key] = "auto" if val.lower() == "auto" else int(val)
-            elif kind is str:
-                values[key] = val
-            else:
-                values[key] = kind(val)
-        except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {val!r}") from exc
+        values[key] = _parse(key, val, f"{source}:{lineno}: ")
     return values
 
 
 def experiment_from_values(values: dict) -> ExperimentConfig:
-    """Build a fully validated ExperimentConfig from parsed key-values."""
-    def get(key, default):
-        return values.get(key, default)
-
-    r = get("adapter.r", 16)
-    hidden = get("model.hidden", 64)
-    depth = get("model.depth", 4)
-    classes = get("model.classes", 4)
-    kernel = _parse_kernel(get("adapter.kernel", "3,3,3"))
-    variant = get("adapter.variant", "none")
-    if r == "auto":
+    """Build a fully validated ExperimentConfig from flat key-values, each
+    as config text, a config echo's JSON value or a parsed value. Absent
+    keys take the dataclass defaults; unknown keys are ignored."""
+    fields: dict[type, dict] = {ModelConfig: {}, AdapterConfig: {}, TrainConfig: {},
+                                ExperimentConfig: {}}
+    for key, (cls, name, _, _) in _KEYS.items():
+        if key in values:
+            fields[cls][name] = _parse(key, values[key])
+    adapter = fields[AdapterConfig]
+    if adapter.get("r") == "auto":
         from .adapter import derive_bottleneck_width
-        r = derive_bottleneck_width(hidden, depth, classes, kernel=kernel, variant=variant)
-    adapter = AdapterConfig(
-        variant=variant,
-        r=int(r),
-        blocks=_parse_blocks(get("adapter.blocks", "all")),
-        position=get("adapter.position", "before_mhsa"),
-        kernel=kernel,
-        activation=get("adapter.activation", "gelu"),
-    )
-    model = ModelConfig(
-        frames=get("model.frames", 8),
-        height=get("model.height", 32),
-        width=get("model.width", 32),
-        patch=get("model.patch", 8),
-        hidden=hidden,
-        depth=depth,
-        heads=get("model.heads", 4),
-        mlp_ratio=get("model.mlp_ratio", 4.0),
-        classes=classes,
-        adapter=adapter,
-    )
-    train = TrainConfig(
-        lr=get("train.lr", 5e-4),
-        weight_decay=get("train.weight_decay", 1e-2),
-        batch=get("train.batch", 8),
-        epochs=get("train.epochs", 20),
-        seed=get("train.seed", 0),
-        eval_every=get("train.eval_every", 1),
-        min_lr=get("train.min_lr", 0.0),
-        freeze=get("train.freeze", "adapter"),
-    )
-    if train.freeze == "adapter" and not model.adapter.active(model.depth):
-        raise ConfigError("train.freeze = adapter requires an adapter variant other than 'none'")
-    if train.freeze == "temporal_aggregation" and model.adapter.active(model.depth):
-        raise ConfigError("train.freeze = temporal_aggregation requires adapter.variant = none")
-    return ExperimentConfig(
-        model=model,
-        train=train,
-        clips_per_class=get("data.clips_per_class", 40),
-        noise=get("data.noise", 0.02),
-        out_dir=get("out.dir", "runs/default"),
-        raw=dict(values),
-    )
+        geometry = ModelConfig(**fields[ModelConfig])
+        adapter["r"] = derive_bottleneck_width(
+            geometry.hidden, geometry.depth, geometry.classes,
+            kernel=adapter.get("kernel", AdapterConfig.kernel),
+            variant=adapter.get("variant", AdapterConfig.variant))
+    model = ModelConfig(**fields[ModelConfig], adapter=AdapterConfig(**adapter))
+    return ExperimentConfig(model=model, train=TrainConfig(**fields[TrainConfig]),
+                            **fields[ExperimentConfig])
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return experiment_from_values(parse_config_text(text, source=path))
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
     """Flat, JSON-serializable key-value echo of an experiment config."""
-    m, a, t = cfg.model, cfg.model.adapter, cfg.train
-    return {
-        "model.frames": m.frames, "model.height": m.height, "model.width": m.width,
-        "model.patch": m.patch, "model.hidden": m.hidden, "model.depth": m.depth,
-        "model.heads": m.heads, "model.mlp_ratio": m.mlp_ratio, "model.classes": m.classes,
-        "adapter.variant": a.variant, "adapter.r": a.r,
-        "adapter.blocks": "all" if a.blocks is None else ",".join(map(str, a.blocks)),
-        "adapter.position": a.position,
-        "adapter.kernel": ",".join(map(str, a.kernel)),
-        "adapter.activation": a.activation,
-        "train.lr": t.lr, "train.weight_decay": t.weight_decay, "train.batch": t.batch,
-        "train.epochs": t.epochs, "train.seed": t.seed, "train.eval_every": t.eval_every,
-        "train.min_lr": t.min_lr, "train.freeze": t.freeze,
-        "data.clips_per_class": cfg.clips_per_class, "data.noise": cfg.noise,
-        "out.dir": cfg.out_dir,
-    }
+    owners = {ModelConfig: cfg.model, AdapterConfig: cfg.model.adapter,
+              TrainConfig: cfg.train, ExperimentConfig: cfg}
+    echo = {}
+    for key, (cls, name, _, show) in _KEYS.items():
+        value = getattr(owners[cls], name)
+        echo[key] = value if show is None else show(value)
+    return echo
 
 
 def experiment_from_echo(echo: dict) -> ExperimentConfig:
-    """Rebuild an ExperimentConfig from a config echo (checkpoint header)."""
-    values = {k: v for k, v in echo.items() if k in _SCHEMA}
-    parsed = {}
-    for k, v in values.items():
-        kind = _SCHEMA[k]
-        if kind == "int_or_auto":
-            parsed[k] = int(v)
-        elif kind in (int, float, str):
-            parsed[k] = kind(v)
-    return experiment_from_values(parsed)
+    """Rebuild an ExperimentConfig from a config echo (checkpoint header)
+    through the config files' parsers."""
+    return experiment_from_values(echo)
 
 
 def with_overrides(cfg: ExperimentConfig, seed: int | None = None,

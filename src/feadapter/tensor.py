@@ -96,19 +96,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def is_leaf(self) -> bool:
-        return self._vjp is None
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -14,9 +14,9 @@ import numpy as np
 from . import tensor as T
 from .adapter import count_tunable_params
 from .backbone import VideoViT
-from .config import TrainConfig, group_is_trainable, parameter_layout
+from .config import TrainConfig, check_freeze, group_is_trainable, parameter_layout
 from .data import VideoBatch
-from .errors import ConfigError, NonFiniteError, TrainingDiverged, UsageError
+from .errors import NonFiniteError, TrainingDiverged, UsageError
 from .metrics import MetricsReport, uar_war
 from .tensor import Tensor
 
@@ -33,11 +33,7 @@ def apply_freeze(model: VideoViT, mode: str) -> FreezePlan:
     """Set requires_grad flags so the optimizer sees only the mode's
     trainable set: everything (full), head only (linear_probe and
     temporal_aggregation), or adapters plus head (adapter)."""
-    adapter_active = model.cfg.adapter.active(model.cfg.depth)
-    if mode == "adapter" and not adapter_active:
-        raise ConfigError("freeze mode 'adapter' requires an adapter variant other than 'none'")
-    if mode == "temporal_aggregation" and adapter_active:
-        raise ConfigError("freeze mode 'temporal_aggregation' requires adapter.variant = 'none'")
+    check_freeze(model.cfg, mode)
     trainable = []
     for spec in parameter_layout(model.cfg):
         flag = group_is_trainable(spec.group, mode)
@@ -55,17 +51,6 @@ def frozen_digest(model: VideoViT) -> str:
         if not t.requires_grad:
             h.update(name.encode())
             h.update(np.ascontiguousarray(t.data).tobytes())
-    return h.hexdigest()
-
-
-def backbone_digest(model: VideoViT) -> str:
-    """SHA-256 over backbone-group tensors, independent of freeze flags."""
-    groups = {spec.name: spec.group for spec in parameter_layout(model.cfg)}
-    h = hashlib.sha256()
-    for name in sorted(model.params):
-        if groups[name] == "backbone":
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(model.params[name].data).tobytes())
     return h.hexdigest()
 
 
@@ -161,8 +146,7 @@ def evaluate_model(model: VideoViT, data: VideoBatch, start: int | None = None) 
 
 
 def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
-          mode: str | None = None, log_path: str | None = None,
-          echo: bool = False, on_eval=None) -> TrainResult:
+          log_path: str | None = None, echo: bool = False, on_eval=None) -> TrainResult:
     """Cross-entropy training with per-epoch cosine annealing.
 
     Shuffling, and therefore the whole run, is fixed by the seed. Eval
@@ -171,8 +155,7 @@ def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
     model before returning. ``on_eval(epoch, report)`` may return True
     to stop early. Emits one record per epoch as JSON lines.
     """
-    mode = mode or tcfg.freeze
-    plan = apply_freeze(model, mode)
+    plan = apply_freeze(model, tcfg.freeze)
     counts = count_tunable_params(model)
     trainables = {name: model.params[name] for name in plan.trainable}
     opt = AdamW(trainables, tcfg.lr, tcfg.weight_decay)

@@ -1,15 +1,19 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, plus a
+checkpoint-header editor for corruption tests.
 
-Everything here is written with plain numpy loops or direct formulas,
+Every oracle here is written with plain numpy loops or direct formulas,
 never through the package's autodiff path, so a bug in the
 implementation cannot hide in its own oracle.
 """
 
+import json
 import math
+import struct
 
 import numpy as np
 
 from feadapter import Tensor, finite_difference_gradient
+from feadapter.checkpoint import MAGIC
 from feadapter.gradcheck import max_relative_error
 
 
@@ -170,3 +174,17 @@ def weighted_scalar(out, seed=0):
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 1.0, size=out.shape).astype(out.data.dtype)
     return (out * Tensor(w)).sum()
+
+
+def rewrite_checkpoint_header(path, edit):
+    """Decode the JSON header of the checkpoint file at ``path`` (a
+    pathlib.Path), let ``edit`` change it in place, and write it back
+    with its length field updated and the payload unchanged."""
+    blob = path.read_bytes()
+    start = len(MAGIC) + 8
+    hlen = struct.unpack("<I", blob[len(MAGIC) + 4:start])[0]
+    header = json.loads(blob[start:start + hlen])
+    edit(header)
+    head = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:len(MAGIC) + 4] + struct.pack("<I", len(head)) + head
+                     + blob[start + hlen:])

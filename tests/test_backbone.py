@@ -4,7 +4,7 @@ forward against a plain-numpy reference, and adapter hook behavior."""
 import numpy as np
 import pytest
 
-from feadapter import (Tensor, VideoViT, embed_frame, mhsa, patchify,
+from feadapter import (Tensor, VideoViT, embed_tokens, mhsa, patchify_clips,
                        temporal_average_pool)
 from feadapter.config import AdapterConfig, ModelConfig
 from feadapter.errors import ConfigError, ShapeError, UsageError
@@ -19,29 +19,29 @@ def desk_cfg(**kw):
     return ModelConfig(**base)
 
 
+def _patch_rows(frame, patch):
+    """The patch rows of one (3, H, W) frame, through the batched form."""
+    return patchify_clips(frame[None, None], patch)[0, 0]
+
+
 class TestPatchify:
     def test_reference_geometry(self):
-        frame = np.zeros((3, 224, 224), dtype=np.float32)
-        out = patchify(frame, 16)
-        assert out.shape == (196, 768)  # N = 224*224/16^2, width = 3*16^2
+        out = patchify_clips(np.zeros((2, 3, 3, 224, 224), dtype=np.float32), 16)
+        assert out.shape == (2, 3, 196, 768)  # N = 224*224/16^2, width = 3*16^2
 
     def test_smallest_multipatch_grid(self):
-        out = patchify(np.zeros((3, 32, 32), dtype=np.float32), 16)
+        out = _patch_rows(np.zeros((3, 32, 32), dtype=np.float32), 16)
         assert out.shape == (4, 768)
 
     def test_constant_frame_gives_identical_rows(self):
-        out = patchify(np.full((3, 32, 32), 0.7, dtype=np.float32), 16).data
+        out = _patch_rows(np.full((3, 32, 32), 0.7, dtype=np.float32), 16)
         assert (out == out[0]).all()
-
-    def test_indivisible_extent_rejected(self):
-        with pytest.raises(ConfigError):
-            patchify(np.zeros((3, 30, 32), dtype=np.float32), 16)
 
     def test_raster_order_and_channel_major_rows(self):
         h = w = 4
         p = 2
         frame = np.arange(3 * h * w, dtype=np.float32).reshape(3, h, w)
-        rows = patchify(frame, p).data
+        rows = _patch_rows(frame, p)
         # row k covers patch (k // 2, k % 2); its entries are the
         # channel-major flattening of the 2x2 patch
         for k in range(4):
@@ -49,27 +49,36 @@ class TestPatchify:
             ref = frame[:, gi * p:(gi + 1) * p, gj * p:(gj + 1) * p].ravel()
             np.testing.assert_array_equal(rows[k], ref)
 
+    def test_clips_and_frames_patchified_independently(self):
+        rng = np.random.default_rng(20)
+        clips = rng.normal(size=(2, 3, 3, 8, 8)).astype(np.float32)
+        out = patchify_clips(clips, 4)
+        for b in range(2):
+            for t in range(3):
+                np.testing.assert_array_equal(out[b, t], _patch_rows(clips[b, t], 4))
 
-class TestEmbedFrame:
+
+class TestEmbedTokens:
     def test_zero_patches_zero_positions(self):
         hidden, n, width = 8, 4, 12
         proj_w = Tensor(np.random.default_rng(0).normal(size=(width, hidden)).astype(np.float32))
         proj_b = Tensor(np.zeros(hidden, dtype=np.float32))
         cls = Tensor(np.arange(hidden, dtype=np.float32))
         pos = Tensor(np.zeros((n + 1, hidden), dtype=np.float32))
-        out = embed_frame(np.zeros((n, width), dtype=np.float32), proj_w, proj_b, cls, pos).data
-        np.testing.assert_array_equal(out[0], cls.data)
-        np.testing.assert_array_equal(out[1:], np.zeros((n, hidden)))
+        out = embed_tokens(np.zeros((2, 3, n, width), dtype=np.float32), proj_w, proj_b, cls, pos).data
+        assert out.shape == (2, 3, n + 1, hidden)
+        np.testing.assert_array_equal(out[:, :, 0], np.broadcast_to(cls.data, (2, 3, hidden)))
+        np.testing.assert_array_equal(out[:, :, 1:], np.zeros((2, 3, n, hidden)))
 
     def test_output_width_is_hidden_for_any_patch_size(self):
         rng = np.random.default_rng(1)
         for width in (12, 48, 192):
             proj_w = Tensor(rng.normal(size=(width, 16)).astype(np.float32))
-            out = embed_frame(rng.normal(size=(5, width)).astype(np.float32), proj_w,
-                              Tensor(np.zeros(16, dtype=np.float32)),
-                              Tensor(np.zeros(16, dtype=np.float32)),
-                              Tensor(np.zeros((6, 16), dtype=np.float32)))
-            assert out.shape == (6, 16)
+            out = embed_tokens(rng.normal(size=(1, 2, 5, width)).astype(np.float32), proj_w,
+                               Tensor(np.zeros(16, dtype=np.float32)),
+                               Tensor(np.zeros(16, dtype=np.float32)),
+                               Tensor(np.zeros((6, 16), dtype=np.float32)))
+            assert out.shape == (1, 2, 6, 16)
 
     def test_distinct_frames_share_class_row(self):
         rng = np.random.default_rng(2)
@@ -77,17 +86,18 @@ class TestEmbedFrame:
         proj_b = Tensor(np.zeros(8, dtype=np.float32))
         cls = Tensor(rng.normal(size=(8,)).astype(np.float32))
         pos = Tensor(rng.normal(size=(5, 8)).astype(np.float32))
-        a = embed_frame(rng.normal(size=(4, 12)).astype(np.float32), proj_w, proj_b, cls, pos).data
-        b = embed_frame(rng.normal(size=(4, 12)).astype(np.float32), proj_w, proj_b, cls, pos).data
-        np.testing.assert_array_equal(a[0], b[0])
+        out = embed_tokens(rng.normal(size=(2, 2, 4, 12)).astype(np.float32),
+                           proj_w, proj_b, cls, pos).data
+        for b, t in ((0, 1), (1, 0), (1, 1)):
+            np.testing.assert_array_equal(out[0, 0, 0], out[b, t, 0])
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            embed_frame(np.zeros((4, 10), dtype=np.float32),
-                        Tensor(np.zeros((12, 8), dtype=np.float32)),
-                        Tensor(np.zeros(8, dtype=np.float32)),
-                        Tensor(np.zeros(8, dtype=np.float32)),
-                        Tensor(np.zeros((5, 8), dtype=np.float32)))
+            embed_tokens(np.zeros((1, 1, 4, 10), dtype=np.float32),
+                         Tensor(np.zeros((12, 8), dtype=np.float32)),
+                         Tensor(np.zeros(8, dtype=np.float32)),
+                         Tensor(np.zeros(8, dtype=np.float32)),
+                         Tensor(np.zeros((5, 8), dtype=np.float32)))
 
 
 def _attn_weights(rng, hidden):
@@ -159,15 +169,20 @@ class TestForwardVideo:
     def test_logit_shape_contract(self):
         m = VideoViT(desk_cfg(), seed=0)
         clip = np.random.default_rng(8).normal(size=(4, 3, 16, 16)).astype(np.float32)
-        assert m.forward(clip).shape == (3,)
+        assert m.forward(clip[None]).shape == (1, 3)
         assert m.forward(clip[None].repeat(2, 0)).shape == (2, 3)
+
+    def test_unbatched_clip_rejected(self):
+        m = VideoViT(desk_cfg(), seed=0)
+        with pytest.raises(ShapeError, match="batch"):
+            m.forward(np.zeros((4, 3, 16, 16), dtype=np.float32))
 
     def test_frame_duplication_leaves_logits_unchanged(self):
         rng = np.random.default_rng(9)
         clip = rng.normal(size=(4, 3, 16, 16)).astype(np.float32)
-        short = VideoViT(desk_cfg(frames=4), seed=0).forward(clip).data
+        short = VideoViT(desk_cfg(frames=4), seed=0).forward(clip[None]).data
         doubled = VideoViT(desk_cfg(frames=8), seed=0).forward(
-            np.concatenate([clip, clip], axis=0)).data
+            np.concatenate([clip, clip], axis=0)[None]).data
         assert np.abs(short - doubled).max() < 1e-6
 
     def test_matches_framewise_numpy_reference(self):
@@ -177,14 +192,14 @@ class TestForwardVideo:
         # make the zero-initialized head non-trivial for the comparison
         m.params["head.weight"].data = rng.normal(size=(cfg.hidden, cfg.classes))
         clip = rng.normal(size=(cfg.frames, 3, 16, 16))
-        ours = m.forward(clip.astype(np.float64)).data
+        ours = m.forward(clip[None].astype(np.float64)).data[0]
         ref = reference_forward(m.params, cfg, clip)
         assert np.abs(ours - ref).max() < 1e-9
 
     def test_extent_mismatch_lists_expected_and_actual(self):
         m = VideoViT(desk_cfg(), seed=0)
         with pytest.raises(ShapeError, match=r"\(4, 3, 16, 16\)"):
-            m.forward(np.zeros((4, 3, 32, 32), dtype=np.float32))
+            m.forward(np.zeros((1, 4, 3, 32, 32), dtype=np.float32))
 
 
 def _randomize_adapters(model, seed=11, scale=0.3):
@@ -206,8 +221,8 @@ class TestInvariants:
         clip = rng.normal(size=(4, 3, 16, 16)).astype(np.float32)
         m = VideoViT(desk_cfg(), seed=1)
         _randomize_head(m)
-        base = m.forward(clip).data
-        perm = m.forward(clip[[2, 0, 3, 1]]).data
+        base = m.forward(clip[None]).data
+        perm = m.forward(clip[None, [2, 0, 3, 1]]).data
         assert np.abs(base - perm).max() < 1e-6
 
     def test_conv_adapter_breaks_frame_permutation_invariance(self):
@@ -217,8 +232,8 @@ class TestInvariants:
         m = VideoViT(cfg, seed=1)
         _randomize_adapters(m)
         _randomize_head(m)
-        base = m.forward(clip).data
-        perm = m.forward(clip[[2, 0, 3, 1]]).data
+        base = m.forward(clip[None]).data
+        perm = m.forward(clip[None, [2, 0, 3, 1]]).data
         assert np.abs(base - perm).max() > 1e-6
 
     def test_token_count_conserved_per_block(self):
@@ -247,7 +262,7 @@ class TestInvariants:
         calls = []
         original = m._run_adapter
         m._run_adapter = lambda x, i: calls.append(i) or original(x, i)
-        m.forward(np.zeros((4, 3, 16, 16), dtype=np.float32))
+        m.forward(np.zeros((1, 4, 3, 16, 16), dtype=np.float32))
         assert calls == [0]
 
     def test_concurrent_evaluation_is_consistent(self):
@@ -260,8 +275,8 @@ class TestInvariants:
         _randomize_head(m)
         rng = np.random.default_rng(17)
         clips = rng.normal(size=(6, 4, 3, 16, 16)).astype(np.float32)
-        expected = [m.forward(c).data for c in clips]
+        expected = [m.forward(c[None]).data for c in clips]
         with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(lambda c: m.forward(c).data, clips))
+            results = list(pool.map(lambda c: m.forward(c[None]).data, clips))
         for got, want in zip(results, expected):
             np.testing.assert_array_equal(got, want)

@@ -1,17 +1,22 @@
 """Checkpoint format: bit-exact roundtrips, corruption handling,
 partial loads by tensor name."""
 
-import json
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feadapter import (VideoViT, apply_freeze, load_checkpoint, load_named_tensors,
                        save_checkpoint)
 from feadapter.checkpoint import MAGIC, read_checkpoint_header
 from feadapter.config import AdapterConfig, ModelConfig
 from feadapter.errors import CheckpointError
+
+from helpers import rewrite_checkpoint_header
 
 
 def cfg(**kw):
@@ -108,29 +113,59 @@ class TestCorruption:
             load_checkpoint(str(path))
 
     @pytest.mark.parametrize("field,value", [
-        ("config", []), ("seed", "7"), ("tensors", {}), ("entry", 5), ("name", None),
-        ("shape", ["4"]), ("shape", [-1]), ("dtype", "<f2"), ("offset", -8),
+        ("config", []), ("seed", "7"), ("seed", -1), ("tensors", {}), ("entry", 5),
+        ("name", None), ("shape", ["4"]), ("shape", [-1]), ("dtype", "<f2"), ("offset", -8),
         ("nbytes", "64"), ("trainable", 1),
     ])
     def test_misshapen_header_is_a_named_error(self, tmp_path, field, value):
         m = randomized_model()
         path = tmp_path / "ck.bin"
         save_checkpoint(m, str(path))
-        blob = path.read_bytes()
-        start = len(MAGIC) + 8
-        hlen = struct.unpack("<I", blob[len(MAGIC) + 4:start])[0]
-        header = json.loads(blob[start:start + hlen])
-        if field in ("config", "seed", "tensors"):
-            header[field] = value
-        elif field == "entry":
-            header["tensors"][0] = value
-        else:
-            header["tensors"][0][field] = value
-        head = json.dumps(header).encode("utf-8")
-        path.write_bytes(blob[:len(MAGIC) + 4] + struct.pack("<I", len(head)) + head
-                         + blob[start + hlen:])
+
+        def edit(header):
+            if field in ("config", "seed", "tensors"):
+                header[field] = value
+            elif field == "entry":
+                header["tensors"][0] = value
+            else:
+                header["tensors"][0][field] = value
+        rewrite_checkpoint_header(path, edit)
         for load in (load_checkpoint, lambda p: load_named_tensors(m, p, lambda name: True)):
             with pytest.raises(CheckpointError, match="corrupt header"):
+                load(str(path))
+
+    def test_tensor_listed_twice_is_a_named_error(self, tmp_path):
+        # before the check, both loaders copied each entry in turn and the
+        # last copy of a name silently won
+        m = randomized_model()
+        path = tmp_path / "ck.bin"
+        save_checkpoint(m, str(path))
+        rewrite_checkpoint_header(path, lambda h: h["tensors"].append(dict(h["tensors"][0])))
+        name = sorted(m.params)[0]
+        for load in (load_checkpoint, lambda p: load_named_tensors(m, p, lambda name: True)):
+            with pytest.raises(CheckpointError, match=f"tensor '{name}' listed twice"):
+                load(str(path))
+
+    @pytest.mark.parametrize("key,value", [
+        ("model.hidden", "x"), ("model.hidden", [1]), ("model.hidden", None),
+        ("model.hidden", True), ("adapter.kernel", "a"), ("train.lr", {}),
+    ])
+    def test_wrong_typed_config_echo_is_a_named_error(self, tmp_path, key, value):
+        m = randomized_model()
+        path = tmp_path / "ck.bin"
+        save_checkpoint(m, str(path))
+        rewrite_checkpoint_header(path, lambda h: h["config"].__setitem__(key, value))
+        with pytest.raises(CheckpointError, match=f"bad config echo .*'{key}'"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("nbytes", [4, 65])
+    def test_byte_count_not_matching_shape_is_a_named_error(self, tmp_path, nbytes):
+        m = randomized_model()
+        path = tmp_path / "ck.bin"
+        save_checkpoint(m, str(path))
+        rewrite_checkpoint_header(path, lambda h: h["tensors"][0].__setitem__("nbytes", nbytes))
+        for load in (load_checkpoint, lambda p: load_named_tensors(m, p, lambda name: True)):
+            with pytest.raises(CheckpointError, match=f"has {nbytes} bytes"):
                 load(str(path))
 
     def test_load_into_mismatched_config_names_tensor(self, tmp_path):
@@ -166,3 +201,42 @@ class TestPartialLoad:
         plain = VideoViT(cfg(adapter=AdapterConfig(variant="none")), seed=0)
         with pytest.raises(CheckpointError, match="adapter"):
             load_named_tensors(plain, path, lambda name: True)
+
+
+SMALL_CFG = ModelConfig(frames=2, height=8, width=8, patch=4, hidden=8, depth=1, heads=2,
+                        classes=2, adapter=AdapterConfig(variant="d2_conv3d", r=2))
+
+
+def _small_checkpoint() -> bytes:
+    m = VideoViT(SMALL_CFG, seed=0)
+    apply_freeze(m, "adapter")
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "ck.bin")
+        save_checkpoint(m, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+SMALL = _small_checkpoint()
+SMALL_HEADER_END = len(MAGIC) + 8 + struct.unpack("<I", SMALL[len(MAGIC) + 4:len(MAGIC) + 8])[0]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, SMALL_HEADER_END - 1), st.integers(1, 255)),
+                min_size=1, max_size=3))
+def test_header_byte_flips_load_or_raise_checkpoint_error(flips):
+    """Whatever bytes of the preamble and header are flipped, both
+    loaders either load or raise CheckpointError, never anything else."""
+    blob = bytearray(SMALL)
+    for pos, mask in flips:
+        blob[pos] ^= mask
+    target = VideoViT(SMALL_CFG, seed=1)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "ck.bin")
+        with open(path, "wb") as fh:
+            fh.write(bytes(blob))
+        for load in (load_checkpoint, lambda p: load_named_tensors(target, p, lambda n: True)):
+            try:
+                load(path)
+            except CheckpointError:
+                pass

@@ -11,6 +11,8 @@ from feadapter.cli import main
 from feadapter.config import config_echo
 from feadapter.reports import read_records
 
+from helpers import rewrite_checkpoint_header
+
 TINY = """
 model.frames = 4
 model.height = 16
@@ -117,6 +119,15 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'tensors' is not a list" in err
+
+    def test_wrong_typed_config_echo_is_a_named_error(self, tiny_config, tmp_path, capsys):
+        exp = load_experiment_config(str(tiny_config))
+        ckpt = tmp_path / "ck.bin"
+        save_checkpoint(VideoViT(exp.model, seed=0), str(ckpt), echo=config_echo(exp))
+        rewrite_checkpoint_header(ckpt, lambda h: h["config"].__setitem__("model.hidden", "x"))
+        assert main(["eval", "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad config echo" in err and "model.hidden" in err
 
 
 class TestSweepCommand:

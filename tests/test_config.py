@@ -1,8 +1,11 @@
 """Experiment-config file format: parsing, validation, echo roundtrip."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from feadapter.config import (config_echo, experiment_from_echo, experiment_from_values,
+from feadapter.config import (_KEYS, ExperimentConfig, ModelConfig, TrainConfig, config_echo,
+                              experiment_from_echo, experiment_from_values,
                               load_experiment_config, parse_config_text)
 from feadapter.errors import ConfigError
 
@@ -81,6 +84,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="no/such/file.cfg"):
             load_experiment_config("no/such/file.cfg")
 
+    def test_unreadable_file_names_path(self, tmp_path):
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"model.depth = \xff\n")
+        for path in (tmp_path, binary):
+            with pytest.raises(ConfigError, match=str(path)):
+                load_experiment_config(str(path))
+
 
 class TestCrossValidation:
     def test_adapter_freeze_requires_variant(self):
@@ -116,3 +126,85 @@ class TestEcho:
         assert again.model == exp.model
         assert again.train == exp.train
         assert again.clips_per_class == exp.clips_per_class
+
+    @pytest.mark.parametrize("key,value", [
+        ("model.hidden", "x"), ("model.hidden", [1]), ("model.hidden", None),
+        ("model.hidden", 32.0), ("adapter.kernel", "a"), ("adapter.blocks", 3),
+        ("train.lr", True), ("out.dir", 7),
+    ])
+    def test_wrong_typed_echo_value_names_key(self, key, value):
+        echo = config_echo(experiment_from_values(parse_config_text(VALID)))
+        echo[key] = value
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            experiment_from_echo(echo)
+
+
+ADAPTED = "adapter.variant = vanilla\nadapter.r = 2\n"
+
+
+class TestRanges:
+    @pytest.mark.parametrize("line,message", [
+        ("model.patch = 0", "patch must be >= 1"),
+        ("model.heads = 0", "heads must be >= 1"),
+        ("adapter.blocks = 1,x", "bad value for 'adapter.blocks'"),
+        ("adapter.kernel = a,b,c", "bad value for 'adapter.kernel'"),
+        ("model.height = -8", "height must be >= 1"),
+        ("model.mlp_ratio = 0", "mlp_ratio must be positive"),
+        ("train.lr = nan", "^lr must be positive"),
+        ("train.weight_decay = nan", "weight_decay must be >= 0"),
+        ("train.min_lr = -1", "min_lr must be >= 0"),
+        ("data.noise = -1", "noise must be >= 0"),
+        ("data.clips_per_class = 0", "clips_per_class must be >= 1"),
+        # the range check, not the bottleneck-width check, catches it
+        ("model.hidden = -4", "^hidden must be >= 1"),
+    ])
+    def test_out_of_range_value_names_field(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            experiment_from_values(parse_config_text(ADAPTED + line))
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: ModelConfig(patch=0), "patch must be"),
+        (lambda: ModelConfig(hidden=-4), "hidden must be"),
+        (lambda: ModelConfig(hidden=10 ** 400), "hidden must be"),
+        (lambda: ModelConfig(mlp_ratio=float("inf")), "mlp_ratio must be"),
+        (lambda: ModelConfig(mlp_ratio=1e307), "mlp_width must be"),
+        (lambda: TrainConfig(lr=float("nan")), "lr must be"),
+        (lambda: TrainConfig(seed=-1), "seed must be"),
+        (lambda: ExperimentConfig(ModelConfig(), TrainConfig(freeze="full"), noise=-1.0),
+         "noise must be"),
+        (lambda: ExperimentConfig(ModelConfig(), TrainConfig()), "freeze mode 'adapter'"),
+    ], ids=["patch", "hidden", "hidden-past-float", "mlp_ratio", "mlp_width", "lr", "seed",
+            "noise", "freeze"])
+    def test_direct_construction_is_validated(self, build, message):
+        with pytest.raises(ConfigError, match=message):
+            build()
+
+
+# Values as config text and as JSON echo values: arbitrary strings and
+# numbers, plus the tokens that reach the deeper checks.
+_TOKENS = st.sampled_from(["all", "auto", "none", "vanilla", "dw_conv3d", "d2_conv3d",
+                           "adapter", "full", "linear_probe", "temporal_aggregation",
+                           "after_mlp", "relu", "3,3,3", "1,5,3", "1-2", "2,4", "nan", "inf"])
+_TEXT = st.one_of(_TOKENS, st.text(max_size=12), st.integers().map(str),
+                  st.floats().map(repr))
+_JSON = st.one_of(_TOKENS, st.none(), st.booleans(), st.integers(), st.floats(),
+                  st.text(max_size=12), st.lists(st.integers(-2, 9), max_size=4))
+_KEY = st.sampled_from(sorted(_KEYS))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_KEY, _TEXT), max_size=10))
+def test_any_config_text_gives_a_config_or_config_error(lines):
+    try:
+        experiment_from_values(parse_config_text("\n".join(f"{k} = {v}" for k, v in lines)))
+    except ConfigError:
+        pass
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.dictionaries(_KEY, _JSON, max_size=10))
+def test_any_config_echo_gives_a_config_or_config_error(echo):
+    try:
+        experiment_from_echo(echo)
+    except ConfigError:
+        pass

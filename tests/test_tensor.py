@@ -424,6 +424,38 @@ class TestFullModelGradients:
         assert max(errors.values()) < 1e-4, errors
 
 
+class TestGradcheckModel:
+    def test_weights_restored_when_a_loss_evaluation_raises(self, monkeypatch):
+        # the oracle perturbs a copy that gradcheck_model swaps into the
+        # model; an error part-way must still leave the model's own arrays
+        from feadapter import VideoViT, synth_dataset
+        from feadapter.config import AdapterConfig, ModelConfig
+        from feadapter.gradcheck import gradcheck_model, randomize_trainable
+        from feadapter.training import apply_freeze
+
+        cfg = ModelConfig(frames=2, height=8, width=8, patch=4, hidden=8, depth=1,
+                          heads=2, classes=2, adapter=AdapterConfig(variant="vanilla", r=2))
+        model = VideoViT(cfg, seed=3, dtype=np.float64)
+        apply_freeze(model, "adapter")
+        randomize_trainable(model, 3)
+        data = synth_dataset(3, 2, 1, 2, 8, 8)
+        before = {name: t.data for name, t in model.params.items()}
+        copies = {name: t.data.copy() for name, t in model.params.items()}
+        real, calls = T.cross_entropy, []
+
+        def failing(logits, labels):
+            calls.append(1)
+            if len(calls) == 4:  # the backward pass, one coordinate, then mid-coordinate
+                raise NonFiniteError("injected")
+            return real(logits, labels)
+        monkeypatch.setattr(T, "cross_entropy", failing)
+        with pytest.raises(NonFiniteError, match="injected"):
+            gradcheck_model(model, data.clips.astype(np.float64), data.labels)
+        for name, t in model.params.items():
+            assert t.data is before[name]
+            np.testing.assert_array_equal(t.data, copies[name])
+
+
 class TestCrossEntropy:
     def test_uniform_logits_log_classes(self):
         loss = T.cross_entropy(Tensor(np.zeros((2, 5))), np.array([1, 3]))
