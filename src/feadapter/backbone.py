@@ -177,21 +177,28 @@ class VideoViT:
             x = self._run_adapter(x, i)
         return x
 
+    def entry_block(self, name: str) -> int | None:
+        """The first block that reads tensor ``name``: i for
+        ``blocks.i.*``, depth for the final norm and the head (they read
+        the tokens leaving the last block), None for an embedding tensor
+        (it is read before any block). The tokens entering that block do
+        not depend on the tensor."""
+        if name in _EMBED:
+            return None
+        if name.startswith("blocks."):
+            return int(name.split(".")[1])
+        return self.cfg.depth
+
     def frozen_prefix(self) -> int | None:
         """The first block holding a gradient-tracked tensor, or depth
         when only the final norm and head are tracked (or nothing is).
         The embedding and the blocks before it are a frozen prefix whose
         output no update can change. None when an embedding tensor is
         tracked: then there is no frozen prefix."""
-        stop = self.cfg.depth
-        for name, t in self.params.items():
-            if not t.requires_grad:
-                continue
-            if name in _EMBED:
-                return None
-            if name.startswith("blocks."):
-                stop = min(stop, int(name.split(".")[1]))
-        return stop
+        starts = [self.entry_block(name) for name, t in self.params.items() if t.requires_grad]
+        if None in starts:
+            return None
+        return min(starts, default=self.cfg.depth)
 
     def encode_prefix(self, clips, stop: int) -> Tensor:
         """The tokens entering block ``stop`` (0 <= stop <= depth): the

@@ -162,7 +162,12 @@ def _copy_tensors(model: VideoViT, path: str, header: dict, wanted) -> list[dict
 def load_checkpoint(path: str) -> VideoViT:
     """Rebuild the model the checkpoint describes and restore every
     tensor and freeze flag bit-exactly."""
-    header = read_checkpoint_header(path)
+    return _load(path, read_checkpoint_header(path))[0]
+
+
+def _load(path: str, header: dict) -> tuple[VideoViT, ExperimentConfig]:
+    """``load_checkpoint`` from an already decoded header; also returns
+    the experiment its config echo describes."""
     try:
         exp = experiment_from_echo(header["config"])
     except ConfigError as exc:
@@ -174,7 +179,7 @@ def load_checkpoint(path: str) -> VideoViT:
         raise CheckpointError(f"{path}: missing tensors for this config: {sorted(missing)[0]!r}")
     for entry in _copy_tensors(model, path, header, lambda name: True):
         model.params[entry["name"]].requires_grad = entry["trainable"]
-    return model
+    return model, exp
 
 
 def load_named_tensors(model: VideoViT, path: str, predicate) -> list[str]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -12,9 +13,9 @@ import numpy as np
 
 from .adapter import count_tunable_params
 from .backbone import VideoViT
-from .checkpoint import load_checkpoint, read_checkpoint_header, save_checkpoint
-from .config import (ExperimentConfig, config_echo, experiment_from_echo,
-                     experiment_from_values, load_experiment_config, with_overrides)
+from .checkpoint import _load, read_checkpoint_header, save_checkpoint
+from .config import (ExperimentConfig, config_echo, experiment_from_values,
+                     load_experiment_config, with_overrides)
 from .data import synth_dataset
 from .errors import (CheckpointError, ConfigError, NonFiniteError,
                      TrainingDiverged, UsageError)
@@ -60,8 +61,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_checkpoint(args.checkpoint)
-    exp = experiment_from_echo(read_checkpoint_header(args.checkpoint)["config"])
+    model, exp = _load(args.checkpoint, read_checkpoint_header(args.checkpoint))
     data = _dataset_for(exp)
     m = evaluate_model(model, data)
     print(f"UAR {m.uar:.4f}  WAR {m.war:.4f}")
@@ -184,11 +184,20 @@ def cmd_count_params(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.eps) and args.eps > 0):
+        raise UsageError(f"--eps must be a positive finite number, got {args.eps}")
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
+    if not args.tolerance >= 0:  # also rejects nan, which no error would pass
+        raise UsageError(f"--tolerance must be a non-negative number, got {args.tolerance}")
     exp = with_overrides(load_experiment_config(args.config), args.seed, None)
+    data = _dataset_for(exp)
+    if args.samples > len(data.labels):
+        raise UsageError(
+            f"--samples {args.samples} exceeds the {len(data.labels)} clips in the dataset")
     model = VideoViT(exp.model, seed=exp.train.seed, dtype=np.float64)  # 64-bit forced
     apply_freeze(model, exp.train.freeze)
     randomize_trainable(model, exp.train.seed)
-    data = _dataset_for(exp)
     clips = data.clips[:args.samples].astype(np.float64)
     labels = data.labels[:args.samples]
     errors = gradcheck_model(model, clips, labels, eps=args.eps)

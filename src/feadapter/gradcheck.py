@@ -45,10 +45,19 @@ def gradcheck_model(model: VideoViT, clips: np.ndarray, labels: np.ndarray,
     model.zero_grad()
     T.cross_entropy(model.forward(clips), labels).backward()
 
-    def loss_with(p: T.Tensor, values: T.Tensor) -> float:
+    # moving one tensor leaves the tokens entering the first block that
+    # reads it unchanged, so its differences start there, from tokens
+    # encoded once per block at the saved weights
+    starts = {name: model.entry_block(name)
+              for name, p in model.params.items() if p.requires_grad}
+    with T.no_grad():
+        inputs = {start: clips if start is None else model.encode_prefix(clips, start)
+                  for start in set(starts.values())}
+
+    def loss_with(p: T.Tensor, start: int | None, values: T.Tensor) -> float:
         p.data = values.data
         with T.no_grad():
-            return float(T.cross_entropy(model.forward(clips), labels).data)
+            return float(T.cross_entropy(model.forward(inputs[start], start), labels).data)
 
     groups = {spec.name: spec.group for spec in parameter_layout(model.cfg)}
     worst: dict[str, float] = {}
@@ -59,7 +68,8 @@ def gradcheck_model(model: VideoViT, clips: np.ndarray, labels: np.ndarray,
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
         saved = p.data
         try:
-            numeric = T.finite_difference_gradient(partial(loss_with, p), p, eps).data
+            numeric = T.finite_difference_gradient(
+                partial(loss_with, p, starts[name]), p, eps).data
         finally:
             p.data = saved
         err = max_relative_error(analytic, numeric)

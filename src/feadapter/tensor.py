@@ -270,6 +270,15 @@ def moveaxis(a, src: int, dst: int) -> Tensor:
     return transpose(a, perm)
 
 
+def _is_basic(key) -> bool:
+    """Whether ``key`` indexes by ints, slices, Ellipsis and None only
+    (a bool is an advanced index)."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, (bool, np.bool_)))
+               for k in parts)
+
+
 def getitem(a, key) -> Tensor:
     a = _as_tensor(a)
     data = a.data[key]
@@ -278,7 +287,12 @@ def getitem(a, key) -> Tensor:
 
     def vjp(g):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, key, g)
+        if _is_basic(key):
+            # each element is selected once; adding (not assigning) keeps
+            # np.add.at's +0.0 where g holds -0.0
+            buf[key] += g
+        else:
+            np.add.at(buf, key, g)  # an advanced key can repeat an index
         return (buf,)
 
     return _result(np.array(data, copy=True), (a,), vjp, "getitem")
@@ -351,13 +365,16 @@ def softmax_lastdim(x) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim == 0 or x.shape[-1] == 0:
         raise ShapeError(f"softmax needs a non-empty last axis, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        dx = g * y
+        dot = dx.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=dx)
+        dx *= y
+        return (dx,)
 
     return _result(y, (x,), vjp, "softmax")
 
@@ -370,12 +387,12 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last extent {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    y = xhat * gamma.data + beta.data
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    y = xhat * xhat
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
@@ -385,9 +402,14 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         if beta.requires_grad:
             dbeta = g.sum(axis=lead)
         if x.requires_grad:
+            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
             dxhat = g * gamma.data
-            dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+            mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
+            dx = dxhat * xhat
+            proj = dx.mean(axis=-1, keepdims=True)
+            dxhat -= mean_dxhat
+            np.subtract(dxhat, np.multiply(xhat, proj, out=dx), out=dx)
+            dx *= inv
         return dx, dgamma, dbeta
 
     return _result(y, (x, gamma, beta), vjp, "layer_norm")
@@ -396,11 +418,21 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 def gelu(x) -> Tensor:
     """x * Phi(x) with the exact Gaussian CDF (erf form, not tanh)."""
     x = _as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = x.data * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def vjp(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return (g * (cdf + x.data * pdf),)
+        # g * (cdf + x * pdf(x)), pdf(x) = exp(-x*x/2) / sqrt(2 pi)
+        dx = x.data * -0.5
+        dx *= x.data
+        np.exp(dx, out=dx)
+        dx *= _INV_SQRT2PI
+        dx *= x.data
+        dx += cdf
+        dx *= g
+        return (dx,)
 
     return _result(x.data * cdf, (x,), vjp, "gelu")
 

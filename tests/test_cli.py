@@ -1,9 +1,11 @@
 """End-to-end CLI behavior through main(argv)."""
 
 import json
+import sys
 
 import pytest
 
+import feadapter.cli
 import feadapter.tensor
 from feadapter import VideoViT, load_experiment_config, save_checkpoint
 from feadapter.checkpoint import MAGIC
@@ -129,6 +131,25 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "bad config echo" in err and "model.hidden" in err
 
+    def test_header_read_and_echo_parsed_once(self, tiny_config, tmp_path, capsys, monkeypatch):
+        exp = load_experiment_config(str(tiny_config))
+        ckpt = tmp_path / "ck.bin"
+        save_checkpoint(VideoViT(exp.model, seed=0), str(ckpt), echo=config_echo(exp))
+        calls = {"read_checkpoint_header": 0, "experiment_from_echo": 0}
+        for attr in calls:
+            original = getattr(feadapter.checkpoint, attr)
+
+            def counted(*args, _attr=attr, _original=original):
+                calls[_attr] += 1
+                return _original(*args)
+            # wherever a feadapter module holds the function
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("feadapter") and getattr(mod, attr, None) is original:
+                    monkeypatch.setattr(mod, attr, counted)
+        assert main(["eval", "--checkpoint", str(ckpt)]) == 0
+        assert "UAR" in capsys.readouterr().out
+        assert calls == {"read_checkpoint_header": 1, "experiment_from_echo": 1}
+
 
 class TestSweepCommand:
     @pytest.mark.parametrize("kind,rows", [
@@ -204,14 +225,15 @@ data.clips_per_class = 1
 """
 
 
+@pytest.fixture
+def gc_config(tmp_path):
+    path = tmp_path / "gc.cfg"
+    path.write_text(GRADCHECK_CFG)
+    return path
+
+
 @pytest.mark.slow
 class TestGradcheckCommand:
-    @pytest.fixture
-    def gc_config(self, tmp_path):
-        path = tmp_path / "gc.cfg"
-        path.write_text(GRADCHECK_CFG)
-        return path
-
     def test_passes_on_healthy_build(self, gc_config, capsys):
         assert main(["gradcheck", "--config", str(gc_config), "--tolerance", "1e-4"]) == 0
         assert "passed" in capsys.readouterr().out
@@ -233,3 +255,25 @@ class TestGradcheckCommand:
 
     def test_zero_tolerance_fails(self, gc_config, capsys):
         assert main(["gradcheck", "--config", str(gc_config), "--tolerance", "0"]) == 1
+
+
+class TestGradcheckFlags:
+    """Flag values the check cannot run with are named errors, raised
+    before any model is built."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--eps", "0"], "--eps must be a positive finite number, got 0.0"),
+        (["--eps=-1e-5"], "--eps must be a positive finite number, got -1e-05"),
+        (["--eps", "nan"], "--eps must be a positive finite number, got nan"),
+        (["--samples", "0"], "--samples must be at least 1, got 0"),
+        (["--samples", "-1"], "--samples must be at least 1, got -1"),
+        (["--samples", "3"], "--samples 3 exceeds the 2 clips in the dataset"),
+        (["--tolerance", "nan"], "--tolerance must be a non-negative number, got nan"),
+    ], ids=["eps-zero", "eps-negative", "eps-nan", "samples-zero", "samples-negative",
+            "samples-past-data", "tolerance-nan"])
+    def test_bad_value_is_an_error_line(self, gc_config, capsys, monkeypatch, flags, message):
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was built before the flags were checked")
+        monkeypatch.setattr(feadapter.cli, "VideoViT", no_model)
+        assert main(["gradcheck", "--config", str(gc_config), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"

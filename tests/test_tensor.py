@@ -402,6 +402,23 @@ class TestOpGradientProperties:
         grads_close(lambda: T.cross_entropy(logits, labels), [logits])
 
 
+class TestGetitem:
+    @pytest.mark.parametrize("key", [1, (slice(None), 2), (Ellipsis, 0), (None, 1, slice(1, 4)),
+                                     np.int64(1), ([0, 0, 1],), (slice(None), [2, 2, 0]), True],
+                             ids=["int", "slice-int", "ellipsis", "none", "np-int",
+                                  "repeated-rows", "repeated-cols", "bool"])
+    def test_gradient_is_the_scatter_add_into_zeros(self, key):
+        # bitwise np.add.at, signed zeros included: repeated indices add up
+        x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+        out = x[key]
+        g = np.random.default_rng(7).normal(size=out.shape).astype(np.float32)
+        g[g > 0.5] = -0.0
+        expected = np.zeros_like(x.data)
+        np.add.at(expected, key, g)
+        (grad,) = out._vjp(g)
+        assert grad.tobytes() == expected.tobytes()
+
+
 @pytest.mark.slow
 class TestFullModelGradients:
     def test_every_parameter_group_matches_finite_differences(self):
@@ -454,6 +471,64 @@ class TestGradcheckModel:
         for name, t in model.params.items():
             assert t.data is before[name]
             np.testing.assert_array_equal(t.data, copies[name])
+
+
+    @staticmethod
+    def full_forward_errors(model, clips, labels, eps=1e-5):
+        """The loop gradcheck_model replaced: every loss evaluation runs
+        the whole model from the clips, through the same oracle."""
+        from feadapter.config import parameter_layout
+        from feadapter.gradcheck import max_relative_error
+
+        model.zero_grad()
+        T.cross_entropy(model.forward(clips), labels).backward()
+        groups = {spec.name: spec.group for spec in parameter_layout(model.cfg)}
+        worst = {}
+        for name in sorted(model.params):
+            p = model.params[name]
+            if not p.requires_grad:
+                continue
+            analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+
+            def loss(values, p=p):
+                p.data = values.data
+                with T.no_grad():
+                    return float(T.cross_entropy(model.forward(clips), labels).data)
+            saved = p.data
+            try:
+                numeric = finite_difference_gradient(loss, p, eps).data
+            finally:
+                p.data = saved
+            err = max_relative_error(analytic, numeric)
+            worst[groups[name]] = max(worst.get(groups[name], 0.0), err)
+        model.zero_grad()
+        return worst
+
+    @pytest.mark.parametrize("mode, depth, adapter", [
+        ("adapter", 2, dict(variant="d2_conv3d")),
+        pytest.param("full", 1, dict(variant="d2_conv3d"),  # the embedding is trainable
+                     marks=pytest.mark.slow),
+        ("adapter", 3, dict(variant="dw_conv3d", blocks=(2, 3), position="after_mlp")),
+        ("linear_probe", 2, dict(variant="none")),
+    ], ids=["d2-depth2", "full-depth1", "dw-after-mlp-blocks-2-3", "linear-probe-depth2"])
+    def test_errors_equal_full_forward_differences(self, mode, depth, adapter):
+        # differences started from a cached block prefix must give the
+        # whole-model loop's errors bit for bit
+        from feadapter import VideoViT, synth_dataset
+        from feadapter.config import AdapterConfig, ModelConfig
+        from feadapter.gradcheck import gradcheck_model, randomize_trainable
+        from feadapter.training import apply_freeze
+
+        cfg = ModelConfig(frames=2, height=8, width=8, patch=4, hidden=8, depth=depth,
+                          heads=2, classes=2, adapter=AdapterConfig(r=2, **adapter))
+        model = VideoViT(cfg, seed=5, dtype=np.float64)
+        apply_freeze(model, mode)
+        randomize_trainable(model, 5)
+        data = synth_dataset(5, 2, 1, 2, 8, 8)
+        clips = data.clips.astype(np.float64)
+        errors = gradcheck_model(model, clips, data.labels)
+        reference = self.full_forward_errors(model, clips, data.labels)
+        assert {g: e.hex() for g, e in errors.items()} == {g: e.hex() for g, e in reference.items()}
 
 
 class TestCrossEntropy:
