@@ -1,9 +1,8 @@
 """Parameter-efficient image-to-video transfer with conv-carrying
 bottleneck adapters, built on a small self-contained autodiff engine."""
 
-from .adapter import (AdapterWeights, count_tunable_params, derive_bottleneck_width,
-                      dilation_rates, fe_adapter, grid_to_tokens, tokens_to_grid,
-                      vanilla_adapter)
+from .adapter import (AdapterWeights, apply_adapter, count_tunable_params,
+                      derive_bottleneck_width, dilation_rates, grid_to_tokens, tokens_to_grid)
 from .backbone import VideoViT, embed_tokens, mhsa, patchify_clips, temporal_average_pool
 from .checkpoint import load_checkpoint, load_named_tensors, save_checkpoint
 from .config import (AdapterConfig, ExperimentConfig, ModelConfig, TrainConfig,
@@ -20,11 +19,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamW", "AdapterConfig", "AdapterWeights", "ExperimentConfig", "FreezePlan",
     "MetricsReport", "ModelConfig", "Tensor", "TrainConfig", "VideoBatch", "VideoViT",
-    "adamw_step", "apply_freeze", "backward", "cosine_lr",
+    "adamw_step", "apply_adapter", "apply_freeze", "backward", "cosine_lr",
     "count_tunable_params", "depthwise_conv3d", "derive_bottleneck_width",
-    "dilation_rates", "embed_tokens", "evaluate_model", "fe_adapter",
+    "dilation_rates", "embed_tokens", "evaluate_model",
     "finite_difference_gradient", "frozen_digest", "gradcheck_model", "grid_to_tokens",
     "load_checkpoint", "load_experiment_config", "load_named_tensors", "mhsa",
     "motion_pairs", "parameter_layout", "patchify_clips", "save_checkpoint", "synth_dataset",
-    "temporal_average_pool", "tokens_to_grid", "train", "uar_war", "vanilla_adapter",
+    "temporal_average_pool", "tokens_to_grid", "train", "uar_war",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import tensor as T
 from .config import (PARAM_BUDGET_TARGET, AdapterConfig, ModelConfig, group_is_trainable,
                      parameter_layout)
-from .errors import ShapeError, UsageError
+from .errors import ShapeError
 from .tensor import Tensor
 
 # Bias of the rate head is set so softplus(bias) < 1e-6 and rates start
@@ -43,15 +43,6 @@ class AdapterWeights:
     kernel: Tensor | None = None  # (r, kT, kH, kW), conv variants only
     dil_w: Tensor | None = None   # (r, 3), d2_conv3d only
     dil_b: Tensor | None = None   # (3,)
-
-
-def vanilla_adapter(x, w: AdapterWeights, activation: str = "gelu") -> Tensor:
-    """Residual bottleneck: x + f(x W_down + b) W_up + b."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    if x.shape[-1] != w.down_w.shape[0]:
-        raise ShapeError(f"adapter width mismatch: tokens {x.shape} vs down {w.down_w.shape}")
-    f = ACTIVATIONS[activation]
-    return x + T.matmul(f(T.matmul(x, w.down_w) + w.down_b), w.up_w) + w.up_b
 
 
 def tokens_to_grid(x, frames: int, grid_h: int, grid_w: int) -> tuple[Tensor, Tensor]:
@@ -103,34 +94,24 @@ def dilation_rates(grid, dil_w, dil_b) -> Tensor:
     return 1.0 + T.softplus(T.matmul(pooled, dil_w) + dil_b)
 
 
-def fe_adapter(x, w: AdapterWeights, cfg: AdapterConfig, frames: int,
-               grid_hw: tuple[int, int]) -> Tensor:
-    """Conv-carrying adapter: down-project, run patch tokens through the
-    depthwise 3-d conv (class tokens bypass), activation, up-project,
-    residual add."""
-    if cfg.variant not in ("dw_conv3d", "d2_conv3d"):
-        raise UsageError(f"fe_adapter needs a conv variant, got {cfg.variant!r}")
+def apply_adapter(x, w: AdapterWeights, cfg: AdapterConfig, frames: int,
+                  grid_hw: tuple[int, int]) -> Tensor:
+    """Residual bottleneck, x + f(h) W_up + b_up with h = x W_down + b_down.
+    The conv variants replace h by its depthwise 3-d conv over the patch
+    grid (class tokens bypass it): at rate 1 (``dw_conv3d``) or at the
+    clip's predicted rates (``d2_conv3d``)."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.shape[-1] != w.down_w.shape[0]:
         raise ShapeError(f"adapter width mismatch: tokens {x.shape} vs down {w.down_w.shape}")
-    f = ACTIVATIONS[cfg.activation]
     h = T.matmul(x, w.down_w) + w.down_b
-    grid, cls = tokens_to_grid(h, frames, *grid_hw)
-    if cfg.variant == "d2_conv3d":
-        rates = dilation_rates(grid, w.dil_w, w.dil_b)
-    else:
-        rates = (1.0, 1.0, 1.0)
-    conv = T.depthwise_conv3d(grid, w.kernel, rates)
-    merged = grid_to_tokens(conv, cls)
-    return x + T.matmul(f(merged), w.up_w) + w.up_b
-
-
-def apply_adapter(x, w: AdapterWeights, cfg: AdapterConfig, frames: int,
-                  grid_hw: tuple[int, int]) -> Tensor:
-    """Dispatch on the configured variant."""
-    if cfg.variant == "vanilla":
-        return vanilla_adapter(x, w, cfg.activation)
-    return fe_adapter(x, w, cfg, frames, grid_hw)
+    if cfg.variant in ("dw_conv3d", "d2_conv3d"):
+        grid, cls = tokens_to_grid(h, frames, *grid_hw)
+        if cfg.variant == "d2_conv3d":
+            rates = dilation_rates(grid, w.dil_w, w.dil_b)
+        else:
+            rates = (1.0, 1.0, 1.0)
+        h = grid_to_tokens(T.depthwise_conv3d(grid, w.kernel, rates), cls)
+    return x + T.matmul(ACTIVATIONS[cfg.activation](h), w.up_w) + w.up_b
 
 
 # ---------------------------------------------------------------------------
@@ -145,32 +126,15 @@ class ParamCount:
     groups: dict[str, dict]  # group -> {"params": int, "trainable": bool}
 
 
-def count_tunable_params(model_or_cfg, mode: str | None = None) -> ParamCount:
-    """Exact parameter counts under a freeze mode.
-
-    Accepts a built model (enumerates its tensors and flags) or a
-    ModelConfig (counts from the layout alone, no allocation). With a
-    model and ``mode=None`` the tensors' current flags are used.
-    """
+def count_tunable_params(cfg: ModelConfig, mode: str) -> ParamCount:
+    """Exact parameter counts under a freeze mode, from the layout alone
+    (no allocation). ``apply_freeze`` sets a model's flags by the same
+    rule, ``group_is_trainable``."""
     groups: dict[str, dict] = {}
-
-    def bump(group: str, size: int, trainable: bool):
-        g = groups.setdefault(group, {"params": 0, "trainable": trainable})
-        g["params"] += size
-        g["trainable"] = trainable
-
-    if isinstance(model_or_cfg, ModelConfig):
-        if mode is None:
-            raise UsageError("counting from a config requires a freeze mode")
-        for spec in parameter_layout(model_or_cfg):
-            bump(spec.group, spec.size, group_is_trainable(spec.group, mode))
-    else:
-        model = model_or_cfg
-        layout = {spec.name: spec for spec in parameter_layout(model.cfg)}
-        for name, tens in model.params.items():
-            spec = layout[name]
-            trainable = tens.requires_grad if mode is None else group_is_trainable(spec.group, mode)
-            bump(spec.group, int(tens.data.size), trainable)
+    for spec in parameter_layout(cfg):
+        g = groups.setdefault(
+            spec.group, {"params": 0, "trainable": group_is_trainable(spec.group, mode)})
+        g["params"] += spec.size
 
     total = sum(g["params"] for g in groups.values())
     trainable = sum(g["params"] for g in groups.values() if g["trainable"])

@@ -243,9 +243,6 @@ class VideoViT:
 
     # -- parameter access ---------------------------------------------
 
-    def trainable_parameters(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.params.items() if v.requires_grad}
-
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.grad = None

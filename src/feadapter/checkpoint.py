@@ -16,7 +16,8 @@ import struct
 import numpy as np
 
 from .backbone import VideoViT
-from .config import ExperimentConfig, TrainConfig, _is_int, config_echo, experiment_from_echo
+from .config import (ExperimentConfig, TrainConfig, _is_int, config_echo,
+                     experiment_from_values)
 from .errors import CheckpointError, ConfigError
 
 MAGIC = b"FEADCKPT"
@@ -169,7 +170,7 @@ def _load(path: str, header: dict) -> tuple[VideoViT, ExperimentConfig]:
     """``load_checkpoint`` from an already decoded header; also returns
     the experiment its config echo describes."""
     try:
-        exp = experiment_from_echo(header["config"])
+        exp = experiment_from_values(header["config"])
     except ConfigError as exc:
         raise CheckpointError(f"{path}: bad config echo ({exc})") from exc
     dtype = np.float64 if any(e["dtype"] == "<f8" for e in header["tensors"]) else np.float32

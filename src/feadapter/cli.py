@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +21,6 @@ from .data import synth_dataset
 from .errors import (CheckpointError, ConfigError, NonFiniteError,
                      TrainingDiverged, UsageError)
 from .gradcheck import gradcheck_model, randomize_trainable
-from .reports import write_records
 from .training import apply_freeze, evaluate_model, frozen_digest, train
 
 SWEEP_KINDS = ("temporal_conv", "global_position", "local_position")
@@ -49,14 +49,13 @@ def cmd_train(args) -> int:
     result = train(model, data, exp.train,
                    log_path=os.path.join(exp.out_dir, "metrics.jsonl"), echo=True)
     save_checkpoint(model, os.path.join(exp.out_dir, "checkpoint.bin"), echo=config_echo(exp))
-    counts = count_tunable_params(model)
+    counts = count_tunable_params(exp.model, exp.train.freeze)
     with open(os.path.join(exp.out_dir, "params.json"), "w", encoding="utf-8") as fh:
-        json.dump({"groups": counts.groups, "trainable": counts.trainable,
-                   "total": counts.total, "ratio": counts.ratio}, fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(counts), fh, indent=2, sort_keys=True)
     r = result.report
-    print(f"done: best epoch {r.best_epoch}  UAR {r.uar:.4f}  WAR {r.war:.4f}  "
-          f"tunable {r.trainable_params:,}/{r.total_params:,} ({r.param_ratio:.2%})  "
-          f"wall {r.wall_clock_s:.1f}s")
+    print(f"done: best epoch {result.best_epoch}  UAR {r.uar:.4f}  WAR {r.war:.4f}  "
+          f"tunable {counts.trainable:,}/{counts.total:,} ({counts.ratio:.2%})  "
+          f"wall {result.wall_clock_s:.1f}s")
     return 0
 
 
@@ -118,15 +117,15 @@ def _run_sweep_cell(payload) -> dict:
     exp = experiment_from_values(values)
     model = _build_model(exp, f64)
     data = _dataset_for(exp)
-    result = train(model, data, exp.train)
-    r = result.report
+    r = train(model, data, exp.train).report
+    counts = count_tunable_params(exp.model, exp.train.freeze)
     return {
         "kind": kind,
         "cell": label,
         "uar": r.uar,
         "war": r.war,
-        "trainable_params": r.trainable_params,
-        "total_params": r.total_params,
+        "trainable_params": counts.trainable,
+        "total_params": counts.total,
         "backbone_sha256": frozen_digest(model),
     }
 
@@ -150,7 +149,8 @@ def cmd_sweep(args) -> int:
     exp = with_overrides(load_experiment_config(args.config), args.seed, args.out)
     rows = run_sweep(args.kind, exp, f64=args.f64, parallel=args.parallel)
     os.makedirs(exp.out_dir, exist_ok=True)
-    write_records(rows, os.path.join(exp.out_dir, f"sweep_{args.kind}.jsonl"))
+    with open(os.path.join(exp.out_dir, f"sweep_{args.kind}.jsonl"), "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(row) + "\n" for row in rows)
     width = max(len(r["cell"]) for r in rows)
     print(f"{'cell':<{width}}  {'UAR':>8}  {'WAR':>8}  {'tunable':>12}")
     for r in rows:
@@ -164,10 +164,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_count_params(args) -> int:
     exp = load_experiment_config(args.config)
-    counts = count_tunable_params(exp.model, mode=exp.train.freeze)
+    counts = count_tunable_params(exp.model, exp.train.freeze)
     if args.json:
-        print(json.dumps({"groups": counts.groups, "trainable": counts.trainable,
-                          "total": counts.total, "ratio": counts.ratio}, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(counts), sort_keys=True))
         return 0
     adapters = sum(g["params"] for name, g in counts.groups.items() if name.startswith("adapter."))
     dilation = sum(g["params"] for name, g in counts.groups.items() if name.startswith("dilation."))
@@ -198,8 +197,10 @@ def cmd_gradcheck(args) -> int:
     model = VideoViT(exp.model, seed=exp.train.seed, dtype=np.float64)  # 64-bit forced
     apply_freeze(model, exp.train.freeze)
     randomize_trainable(model, exp.train.seed)
-    clips = data.clips[:args.samples].astype(np.float64)
-    labels = data.labels[:args.samples]
+    # the dataset is class-major: take its clips round-robin over classes
+    pick = np.arange(len(data)).reshape(exp.model.classes, -1).T.ravel()[:args.samples]
+    clips = data.clips[pick].astype(np.float64)
+    labels = data.labels[pick]
     errors = gradcheck_model(model, clips, labels, eps=args.eps)
     failing = []
     for group in sorted(errors):

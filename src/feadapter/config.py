@@ -423,12 +423,6 @@ def config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def experiment_from_echo(echo: dict) -> ExperimentConfig:
-    """Rebuild an ExperimentConfig from a config echo (checkpoint header)
-    through the config files' parsers."""
-    return experiment_from_values(echo)
-
-
 def with_overrides(cfg: ExperimentConfig, seed: int | None = None,
                    out_dir: str | None = None) -> ExperimentConfig:
     new = cfg

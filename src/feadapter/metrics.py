@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,19 +11,12 @@ from .errors import UsageError
 
 @dataclass
 class MetricsReport:
-    """Per-class recalls, UAR/WAR, confusion counts, and (when produced
-    by training) parameter counts and the epoch curve."""
+    """Per-class recalls, UAR/WAR and confusion counts."""
 
     per_class_recall: list
     uar: float
     war: float
     confusion: np.ndarray  # rows = truth, cols = prediction
-    trainable_params: int | None = None
-    total_params: int | None = None
-    param_ratio: float | None = None
-    epoch_curve: list = field(default_factory=list)
-    wall_clock_s: float | None = None
-    best_epoch: int | None = None
 
 
 def uar_war(predictions, truth, classes: int) -> MetricsReport:

@@ -96,25 +96,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         backward(self)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes) -> "Tensor":
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False) -> "Tensor":
-        return sum_axis(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False) -> "Tensor":
-        return mean_axis(self, axis, keepdims)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .adapter import count_tunable_params
 from .backbone import VideoViT
 from .config import TrainConfig, check_freeze, group_is_trainable, parameter_layout
 from .data import VideoBatch
@@ -123,9 +122,10 @@ def cosine_lr(epoch: int, total_epochs: int, base_lr: float, min_lr: float = 0.0
 
 @dataclass
 class TrainResult:
-    report: MetricsReport
-    best_state: dict[str, np.ndarray]
-    records: list
+    report: MetricsReport  # the best eval, whose weights the model holds
+    records: list          # one per epoch, as logged
+    best_epoch: int
+    wall_clock_s: float
 
 
 def _forward_only(fn, inputs: np.ndarray) -> np.ndarray:
@@ -151,12 +151,11 @@ def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
 
     Shuffling, and therefore the whole run, is fixed by the seed. Eval
     metrics are recorded on the training set every ``eval_every``
-    epochs and at the end; the best-WAR state is restored into the
+    epochs and at the end; the first best-WAR state is restored into the
     model before returning. ``on_eval(epoch, report)`` may return True
     to stop early. Emits one record per epoch as JSON lines.
     """
     plan = apply_freeze(model, tcfg.freeze)
-    counts = count_tunable_params(model)
     trainables = {name: model.params[name] for name in plan.trainable}
     opt = AdamW(trainables, tcfg.lr, tcfg.weight_decay)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([tcfg.seed, 0x10AD])))
@@ -174,9 +173,7 @@ def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
 
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     records: list = []
-    best_war, best_epoch = -1.0, -1
-    best_state: dict[str, np.ndarray] = {k: v.data.copy() for k, v in trainables.items()}
-    best_metrics: MetricsReport | None = None
+    best: MetricsReport | None = None
     step_count = 0
     try:
         for epoch in range(tcfg.epochs):
@@ -202,8 +199,8 @@ def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
             if (epoch + 1) % tcfg.eval_every == 0 or epoch == tcfg.epochs - 1:
                 m = evaluate_model(model, inputs, start)
                 record["uar"], record["war"] = m.uar, m.war
-                if m.war > best_war:
-                    best_war, best_epoch, best_metrics = m.war, epoch, m
+                if best is None or m.war > best.war:
+                    best, best_epoch = m, epoch
                     best_state = {k: v.data.copy() for k, v in trainables.items()}
                 if on_eval is not None and on_eval(epoch, m):
                     stop = True
@@ -218,13 +215,8 @@ def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
     finally:
         if log_fh:
             log_fh.close()
+    # the last epoch and any early stop evaluate, so ``best`` is set
     for name, arr in best_state.items():
-        model.params[name].data = arr.copy()
-    report = best_metrics if best_metrics is not None else evaluate_model(model, inputs, start)
-    report.trainable_params = counts.trainable
-    report.total_params = counts.total
-    report.param_ratio = counts.ratio
-    report.epoch_curve = records
-    report.wall_clock_s = time.perf_counter() - started
-    report.best_epoch = best_epoch if best_epoch >= 0 else None
-    return TrainResult(report=report, best_state=best_state, records=records)
+        model.params[name].data = arr
+    return TrainResult(report=best, records=records, best_epoch=best_epoch,
+                       wall_clock_s=time.perf_counter() - started)

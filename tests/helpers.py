@@ -1,5 +1,6 @@
-"""Independent reference implementations used as test oracles, plus a
-checkpoint-header editor for corruption tests.
+"""Independent reference implementations used as test oracles, a
+checkpoint-header editor for corruption tests, and a reader for the
+line-delimited record files the CLI writes.
 
 Every oracle here is written with plain numpy loops or direct formulas,
 never through the package's autodiff path, so a bug in the
@@ -13,6 +14,7 @@ import struct
 import numpy as np
 
 from feadapter import Tensor, finite_difference_gradient
+from feadapter import tensor as T
 from feadapter.checkpoint import MAGIC
 from feadapter.gradcheck import max_relative_error
 
@@ -173,7 +175,7 @@ def weighted_scalar(out, seed=0):
     scalar loss (plain sums can hide sign and permutation errors)."""
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 1.0, size=out.shape).astype(out.data.dtype)
-    return (out * Tensor(w)).sum()
+    return T.sum_axis(out * Tensor(w))
 
 
 def rewrite_checkpoint_header(path, edit):
@@ -188,3 +190,18 @@ def rewrite_checkpoint_header(path, edit):
     head = json.dumps(header).encode("utf-8")
     path.write_bytes(blob[:len(MAGIC) + 4] + struct.pack("<I", len(head)) + head
                      + blob[start + hlen:])
+
+
+def read_records(path):
+    """Parse a line-delimited record file (``metrics.jsonl``, sweep
+    rows); every line must be a JSON object."""
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            rec = json.loads(line)
+            assert isinstance(rec, dict), f"{path}:{lineno}: expected a JSON object per line"
+            out.append(rec)
+    return out

@@ -14,16 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from feadapter import (Tensor, VideoViT, count_tunable_params, derive_bottleneck_width,
-                       fe_adapter, frozen_digest, synth_dataset, train, uar_war,
-                       vanilla_adapter)
+from feadapter import (Tensor, VideoViT, apply_adapter, count_tunable_params,
+                       derive_bottleneck_width, frozen_digest, synth_dataset, train, uar_war)
 from feadapter.adapter import RATE_HEAD_BIAS, AdapterWeights
 from feadapter.cli import main
 from feadapter.config import AdapterConfig, ModelConfig, TrainConfig
-from feadapter.reports import read_records
 from feadapter.training import apply_freeze
 
-from helpers import uar_war_oracle
+from helpers import read_records, uar_war_oracle
 
 
 def _criterion(name, ok, detail=""):
@@ -134,10 +132,11 @@ def test_conv_reduction_to_plain_adapter():
             dil_b=Tensor(np.full(3, RATE_HEAD_BIAS)),
         )
         x = Tensor(rng.normal(size=(1, frames * (gh * gw + 1), hidden)))
-        want = vanilla_adapter(x, w).data
-        for variant in ("dw_conv3d", "d2_conv3d"):
-            got = fe_adapter(x, w, AdapterConfig(variant=variant, r=r),
+        want = apply_adapter(x, w, AdapterConfig(variant="vanilla", r=r),
                              frames=frames, grid_hw=(gh, gw)).data
+        for variant in ("dw_conv3d", "d2_conv3d"):
+            got = apply_adapter(x, w, AdapterConfig(variant=variant, r=r),
+                                frames=frames, grid_hw=(gh, gw)).data
             worst = max(worst, float(np.abs(got - want).max()))
     ok = worst < 1e-6
     _criterion("conv-reduction-to-plain-adapter", ok,

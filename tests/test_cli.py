@@ -3,17 +3,17 @@
 import json
 import sys
 
+import numpy as np
 import pytest
 
 import feadapter.cli
 import feadapter.tensor
-from feadapter import VideoViT, load_experiment_config, save_checkpoint
+from feadapter import VideoViT, count_tunable_params, load_experiment_config, save_checkpoint
 from feadapter.checkpoint import MAGIC
-from feadapter.cli import main
-from feadapter.config import config_echo
-from feadapter.reports import read_records
+from feadapter.cli import main, sweep_cells
+from feadapter.config import config_echo, experiment_from_values
 
-from helpers import rewrite_checkpoint_header
+from helpers import read_records, rewrite_checkpoint_header
 
 TINY = """
 model.frames = 4
@@ -52,6 +52,16 @@ class TestTrainCommand:
         assert (run / "params.json").exists()
         records = read_records(str(run / "metrics.jsonl"))
         assert len(records) == 2
+
+    def test_params_json_and_done_line_match_count_params(self, tiny_config, tmp_path, capsys):
+        assert main(["train", "--config", str(tiny_config)]) == 0
+        done = capsys.readouterr().out.splitlines()[-1]
+        assert main(["count-params", "--config", str(tiny_config), "--json"]) == 0
+        counts = json.loads(capsys.readouterr().out)
+        assert json.loads((tmp_path / "run" / "params.json").read_text()) == counts
+        assert done.startswith("done:")
+        assert (f"tunable {counts['trainable']:,}/{counts['total']:,} ({counts['ratio']:.2%})"
+                in done)
 
     def test_missing_config_nonzero_with_path(self, capsys):
         assert main(["train", "--config", "does/not/exist.cfg"]) == 1
@@ -135,7 +145,7 @@ class TestEvalCommand:
         exp = load_experiment_config(str(tiny_config))
         ckpt = tmp_path / "ck.bin"
         save_checkpoint(VideoViT(exp.model, seed=0), str(ckpt), echo=config_echo(exp))
-        calls = {"read_checkpoint_header": 0, "experiment_from_echo": 0}
+        calls = {"read_checkpoint_header": 0, "experiment_from_values": 0}
         for attr in calls:
             original = getattr(feadapter.checkpoint, attr)
 
@@ -148,7 +158,7 @@ class TestEvalCommand:
                     monkeypatch.setattr(mod, attr, counted)
         assert main(["eval", "--checkpoint", str(ckpt)]) == 0
         assert "UAR" in capsys.readouterr().out
-        assert calls == {"read_checkpoint_header": 1, "experiment_from_echo": 1}
+        assert calls == {"read_checkpoint_header": 1, "experiment_from_values": 1}
 
 
 class TestSweepCommand:
@@ -161,6 +171,12 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(tiny_config), "--kind", kind]) == 0
         recs = read_records(str(tmp_path / "run" / f"sweep_{kind}.jsonl"))
         assert [r["cell"] for r in recs] == rows
+        exp = load_experiment_config(str(tiny_config))
+        for rec, (_, overrides) in zip(recs, sweep_cells(kind, exp)):
+            cell = experiment_from_values({**config_echo(exp), **overrides})
+            counts = count_tunable_params(cell.model, cell.train.freeze)
+            assert (rec["trainable_params"], rec["total_params"]) == (counts.trainable,
+                                                                      counts.total)
 
     def test_cells_share_frozen_backbone_hash(self, tiny_config, tmp_path):
         assert main(["sweep", "--config", str(tiny_config), "--kind", "temporal_conv"]) == 0
@@ -277,3 +293,22 @@ class TestGradcheckFlags:
         monkeypatch.setattr(feadapter.cli, "VideoViT", no_model)
         assert main(["gradcheck", "--config", str(gc_config), *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_gradcheck_samples_cover_every_class(tmp_path, monkeypatch):
+    """The dataset is class-major; --samples equal to the class count
+    takes one clip of each class."""
+    cfg = tmp_path / "gc3.cfg"
+    cfg.write_text(GRADCHECK_CFG.replace("model.classes = 2", "model.classes = 3")
+                   .replace("data.clips_per_class = 1", "data.clips_per_class = 3"))
+    seen = []
+
+    def record(model, clips, labels, eps):
+        seen.append((clips, labels))
+        return {}
+    monkeypatch.setattr(feadapter.cli, "gradcheck_model", record)
+    assert main(["gradcheck", "--config", str(cfg), "--samples", "3"]) == 0
+    [(clips, labels)] = seen
+    assert labels.tolist() == [0, 1, 2]
+    data = feadapter.cli._dataset_for(load_experiment_config(str(cfg)))
+    np.testing.assert_array_equal(clips, data.clips[[0, 3, 6]].astype(np.float64))

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feadapter.config import (_KEYS, ExperimentConfig, ModelConfig, TrainConfig, config_echo,
-                              experiment_from_echo, experiment_from_values,
-                              load_experiment_config, parse_config_text)
+                              experiment_from_values, load_experiment_config,
+                              parse_config_text)
 from feadapter.errors import ConfigError
 
 VALID = """
@@ -122,7 +122,7 @@ class TestCrossValidation:
 class TestEcho:
     def test_echo_roundtrip_reproduces_config(self):
         exp = experiment_from_values(parse_config_text(VALID))
-        again = experiment_from_echo(config_echo(exp))
+        again = experiment_from_values(config_echo(exp))
         assert again.model == exp.model
         assert again.train == exp.train
         assert again.clips_per_class == exp.clips_per_class
@@ -136,7 +136,7 @@ class TestEcho:
         echo = config_echo(experiment_from_values(parse_config_text(VALID)))
         echo[key] = value
         with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
-            experiment_from_echo(echo)
+            experiment_from_values(echo)
 
 
 ADAPTED = "adapter.variant = vanilla\nadapter.r = 2\n"
@@ -205,6 +205,6 @@ def test_any_config_text_gives_a_config_or_config_error(lines):
 @given(st.dictionaries(_KEY, _JSON, max_size=10))
 def test_any_config_echo_gives_a_config_or_config_error(echo):
     try:
-        experiment_from_echo(echo)
+        experiment_from_values(echo)
     except ConfigError:
         pass

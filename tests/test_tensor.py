@@ -266,7 +266,7 @@ class TestConv3d:
 class TestBackward:
     def test_sum_of_squares(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        (x * x).sum().backward()
+        T.sum_axis(x * x).backward()
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
     def test_two_layer_mlp_against_finite_differences(self):
@@ -286,7 +286,7 @@ class TestBackward:
     def test_detached_leaf_gets_no_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = Tensor([3.0, 4.0], requires_grad=False)
-        (x * y).sum().backward()
+        T.sum_axis(x * y).backward()
         assert x.grad is not None
         assert y.grad is None
 
@@ -297,16 +297,16 @@ class TestBackward:
 
     def test_gradients_accumulate_across_backward_calls(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        (x * x).sum().backward()
+        T.sum_axis(x * x).backward()
         first = x.grad.copy()
-        (x * x).sum().backward()
+        T.sum_axis(x * x).backward()
         np.testing.assert_allclose(x.grad, 2 * first)
 
     def test_trace_graph_topological(self):
         x = Tensor([1.0], requires_grad=True)
         y = x * 2.0
         z = y + x
-        loss = z.sum()
+        loss = T.sum_axis(z)
         order = trace_graph(loss)
         pos = {id(t): i for i, t in enumerate(order)}
         for node in order:
@@ -316,7 +316,7 @@ class TestBackward:
 
     def test_fanout_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
-        loss = (x * x + x * 2.0).sum()  # d/dx = 2x + 2
+        loss = T.sum_axis(x * x + x * 2.0)  # d/dx = 2x + 2
         loss.backward()
         np.testing.assert_allclose(x.grad, [8.0])
 
@@ -324,17 +324,17 @@ class TestBackward:
 class TestFiniteDifferenceOracle:
     def test_sum_gives_ones(self):
         p = Tensor([4.0, -2.0, 7.0], dtype=np.float64)
-        g = finite_difference_gradient(lambda t: t.sum(), p)
+        g = finite_difference_gradient(T.sum_axis, p)
         np.testing.assert_allclose(g.data, np.ones(3), atol=1e-9)
 
     def test_product_rule(self):
         p = Tensor([3.0, 5.0], dtype=np.float64)
-        g = finite_difference_gradient(lambda t: (t[0] * t[1]).sum(), p, eps=1e-5)
+        g = finite_difference_gradient(lambda t: T.sum_axis(t[0] * t[1]), p, eps=1e-5)
         np.testing.assert_allclose(g.data, [5.0, 3.0], atol=1e-6)
 
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):
-            finite_difference_gradient(lambda t: t.sum(), Tensor([1.0]), eps=0.0)
+            finite_difference_gradient(T.sum_axis, Tensor([1.0]), eps=0.0)
 
 
 def _random_shape(rng):
@@ -353,8 +353,8 @@ class TestOpGradientProperties:
             "relu": T.relu,
             "softplus": T.softplus,
             "neg": T.neg,
-            "sum": lambda t: t.sum(),
-            "mean": lambda t: t.mean(),
+            "sum": T.sum_axis,
+            "mean": T.mean_axis,
             "softmax": T.softmax_lastdim,
         }
         for name, op in unary.items():
@@ -381,8 +381,8 @@ class TestOpGradientProperties:
             lambda: weighted_scalar(x[:, 1:, ::2]),
             lambda: weighted_scalar(T.concat([x, x], axis=1)),
             lambda: weighted_scalar(T.broadcast_to(T.reshape(x, (2, 3, 4, 1)), (2, 3, 4, 5))),
-            lambda: weighted_scalar(x.sum(axis=(0, 2))),
-            lambda: weighted_scalar(x.mean(axis=1, keepdims=True)),
+            lambda: weighted_scalar(T.sum_axis(x, axis=(0, 2))),
+            lambda: weighted_scalar(T.mean_axis(x, axis=1, keepdims=True)),
             lambda: weighted_scalar(T.moveaxis(x, 0, 2)),
         ]
         for case in cases:
