@@ -5,12 +5,18 @@ JSON header (config echo, seed, tensor directory with shapes, freeze
 flags, dtypes and byte offsets), then raw little-endian float payloads
 in directory order. Everything is explicit-endian, so files are
 bit-exact across platforms.
+
+Checkpoints and the other whole-file artifacts are written through
+``atomic_write``: a reader sees the previous file or the new one, never
+a partial one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -29,6 +35,22 @@ def _default_echo(model: VideoViT) -> dict:
     freeze = "adapter" if model.cfg.adapter.active(model.cfg.depth) else "linear_probe"
     exp = ExperimentConfig(model=model.cfg, train=TrainConfig(freeze=freeze))
     return config_echo(exp)
+
+
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "w"):
+    """Open a temporary file beside ``path`` for writing. On a clean
+    exit it replaces ``path`` in one ``os.replace``; on an error it is
+    removed and ``path`` is left as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def save_checkpoint(model: VideoViT, path: str, echo: dict | None = None) -> None:
@@ -56,7 +78,7 @@ def save_checkpoint(model: VideoViT, path: str, echo: dict | None = None) -> Non
         "tensors": entries,
     }
     head = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(head)))

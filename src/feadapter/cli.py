@@ -14,7 +14,7 @@ import numpy as np
 
 from .adapter import count_tunable_params
 from .backbone import VideoViT
-from .checkpoint import _load, read_checkpoint_header, save_checkpoint
+from .checkpoint import _load, atomic_write, read_checkpoint_header, save_checkpoint
 from .config import (ExperimentConfig, config_echo, experiment_from_values,
                      load_experiment_config, with_overrides)
 from .data import synth_dataset
@@ -50,7 +50,7 @@ def cmd_train(args) -> int:
                    log_path=os.path.join(exp.out_dir, "metrics.jsonl"), echo=True)
     save_checkpoint(model, os.path.join(exp.out_dir, "checkpoint.bin"), echo=config_echo(exp))
     counts = count_tunable_params(exp.model, exp.train.freeze)
-    with open(os.path.join(exp.out_dir, "params.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(exp.out_dir, "params.json")) as fh:
         json.dump(dataclasses.asdict(counts), fh, indent=2, sort_keys=True)
     r = result.report
     print(f"done: best epoch {result.best_epoch}  UAR {r.uar:.4f}  WAR {r.war:.4f}  "
@@ -149,7 +149,7 @@ def cmd_sweep(args) -> int:
     exp = with_overrides(load_experiment_config(args.config), args.seed, args.out)
     rows = run_sweep(args.kind, exp, f64=args.f64, parallel=args.parallel)
     os.makedirs(exp.out_dir, exist_ok=True)
-    with open(os.path.join(exp.out_dir, f"sweep_{args.kind}.jsonl"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(exp.out_dir, f"sweep_{args.kind}.jsonl")) as fh:
         fh.writelines(json.dumps(row) + "\n" for row in rows)
     width = max(len(r["cell"]) for r in rows)
     print(f"{'cell':<{width}}  {'UAR':>8}  {'WAR':>8}  {'tunable':>12}")

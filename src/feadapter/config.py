@@ -288,15 +288,20 @@ def _int_or_auto(value) -> int | str:
     return "auto" if isinstance(value, str) and value.lower() == "auto" else _int(value)
 
 
-def _blocks(value) -> tuple[int, ...] | None:
-    """'all' (None), or comma-separated 1-based indices and lo-hi ranges."""
+def _blocks(value) -> tuple[range, ...] | None:
+    """'all' (None), or comma-separated 1-based indices and lo-hi ranges.
+    Each index or range stays a ``range`` until ``experiment_from_values``
+    has checked it against the depth, so a huge range is never expanded."""
     if isinstance(value, str):
         if value.strip().lower() == "all":
             return None
-        out: list[int] = []
+        out: list[range] = []
         for part in filter(None, (p.strip() for p in value.split(","))):
             lo, dash, hi = part.partition("-")
-            out.extend(range(int(lo), int(hi if dash else lo) + 1))
+            lo, hi = int(lo), int(hi if dash else lo)
+            if hi < lo:
+                raise ValueError(f"reversed range {part!r}")
+            out.append(range(lo, hi + 1))
         if not out:
             raise ValueError("names no blocks")
         return tuple(out)
@@ -304,7 +309,19 @@ def _blocks(value) -> tuple[int, ...] | None:
         return None
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"not a block list: {value!r}")
-    return tuple(_int(b) for b in value)
+    return tuple(b if isinstance(b, range) else range(_int(b), _int(b) + 1) for b in value)
+
+
+def _expand_blocks(ranges: tuple[range, ...], depth: int) -> tuple[int, ...]:
+    """The block indices of ``_blocks`` ranges, each range checked against
+    1..depth first."""
+    _at_least(1, depth=depth)
+    bad = [r for r in ranges if r.start < 1 or r.stop - 1 > depth]
+    if bad:
+        shown = ", ".join(str(r.start) if r.stop - r.start == 1 else f"{r.start}-{r.stop - 1}"
+                          for r in bad)
+        raise ConfigError(f"adapter blocks {shown} outside 1..{depth}")
+    return tuple(b for r in ranges for b in r)
 
 
 def _kernel(value) -> tuple[int, int, int]:
@@ -391,6 +408,9 @@ def experiment_from_values(values: dict) -> ExperimentConfig:
         if key in values:
             fields[cls][name] = _parse(key, values[key])
     adapter = fields[AdapterConfig]
+    if adapter.get("blocks") is not None:
+        adapter["blocks"] = _expand_blocks(adapter["blocks"],
+                                           fields[ModelConfig].get("depth", ModelConfig.depth))
     if adapter.get("r") == "auto":
         from .adapter import derive_bottleneck_width
         geometry = ModelConfig(**fields[ModelConfig])

@@ -4,9 +4,17 @@ Arrays are numpy float32 by default; float64 is used for verification
 work (gradient checks are unreliable at 32 bit). Every operation checks
 its output for NaN/Inf and raises instead of propagating garbage.
 
-Ops are pure functions over immutable inputs. The implicit compute
-graph (parent links plus a vector-Jacobian closure per node) is
-single-owner: build it, call ``backward`` once, drop it.
+Ops are pure functions over immutable inputs. The compute graph is
+kept apart from the tensors: a tracked op result holds a small node
+with its parents' nodes, its output shape and a vector-Jacobian
+closure (VJP), and a tracked leaf holds one cached node that receives
+``.grad``. A VJP keeps only the arrays its rule reads, plus shapes,
+dtypes and the operands' ``requires_grad`` flags as they were at
+forward time; it never holds a ``Tensor``. So an array that no VJP
+reads (the input of a frozen projection, a residual sum, a matmul
+output before its bias) is freed as soon as the forward drops its
+tensor. The graph is single-owner: build it, call ``backward`` once,
+drop it.
 
 Nothing is computed for a gradient nobody reads:
 
@@ -66,13 +74,38 @@ def _guard_finite(arr: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"{op}: produced non-finite values")
 
 
+class _Node:
+    """A gradient-tracked value in the graph: its parents' nodes, its
+    VJP (None for a leaf), its output shape and, for a leaf only, the
+    tensor that receives ``.grad``."""
+
+    __slots__ = ("_parents", "_vjp", "shape", "leaf")
+    requires_grad = True
+
+    def __init__(self, parents: tuple, vjp: Callable | None, shape: tuple, leaf=None):
+        self._parents = parents
+        self._vjp = vjp
+        self.shape = shape
+        self.leaf = leaf
+
+
+class _Untracked(_Node):
+    __slots__ = ()
+    requires_grad = False
+
+
+# the parent slot of every operand that takes no gradient
+_UNTRACKED = _Untracked((), None, ())
+
+
 class Tensor:
     """Dense n-dimensional float array with optional gradient tracking.
 
-    Graph nodes carry their parents, the op kind that produced them,
-    and a vector-Jacobian closure over the saved activations."""
+    A tracked op result or a tracked leaf that has been used holds its
+    graph node; ``_parents`` and ``_vjp`` read (and ``_vjp`` writes)
+    through it."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -84,9 +117,19 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable | None = None
-        self._op: str | None = None
+        self._node: _Node | None = None
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _vjp(self) -> Callable | None:
+        return None if self._node is None else self._node._vjp
+
+    @_vjp.setter
+    def _vjp(self, fn: Callable) -> None:
+        self._node._vjp = fn
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -136,20 +179,28 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _node_of(t: Tensor) -> _Node:
+    """The node an op records for operand ``t``: the shared sentinel
+    when ``t`` takes no gradient, else its own (for a leaf, created on
+    first use and cached, so a leaf used twice is one node)."""
+    if not t.requires_grad:
+        return _UNTRACKED
+    if t._node is None:
+        t._node = _Node((), None, t.data.shape, t)
+    return t._node
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     _guard_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out._op = op
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
+        out._node = _Node(tuple(map(_node_of, parents)), vjp, data.shape)
     else:
         out.requires_grad = False
-        out._parents = ()
-        out._vjp = None
+        out._node = None
     return out
 
 
@@ -172,10 +223,12 @@ def add(a, b) -> Tensor:
     a, b = (_as_tensor(a, b if isinstance(b, Tensor) else None),
             _as_tensor(b, a if isinstance(a, Tensor) else None))
     data = a.data + b.data
+    sa = a.data.shape if a.requires_grad else None
+    sb = b.data.shape if b.requires_grad else None
 
     def vjp(g):
-        return (_reduce_to_shape(g, a.shape) if a.requires_grad else None,
-                _reduce_to_shape(g, b.shape) if b.requires_grad else None)
+        return (None if sa is None else _reduce_to_shape(g, sa),
+                None if sb is None else _reduce_to_shape(g, sb))
 
     return _result(data, (a, b), vjp, "add")
 
@@ -184,10 +237,12 @@ def sub(a, b) -> Tensor:
     a, b = (_as_tensor(a, b if isinstance(b, Tensor) else None),
             _as_tensor(b, a if isinstance(a, Tensor) else None))
     data = a.data - b.data
+    sa = a.data.shape if a.requires_grad else None
+    sb = b.data.shape if b.requires_grad else None
 
     def vjp(g):
-        return (_reduce_to_shape(g, a.shape) if a.requires_grad else None,
-                _reduce_to_shape(-g, b.shape) if b.requires_grad else None)
+        return (None if sa is None else _reduce_to_shape(g, sa),
+                None if sb is None else _reduce_to_shape(-g, sb))
 
     return _result(data, (a, b), vjp, "sub")
 
@@ -196,10 +251,13 @@ def mul(a, b) -> Tensor:
     a, b = (_as_tensor(a, b if isinstance(b, Tensor) else None),
             _as_tensor(b, a if isinstance(a, Tensor) else None))
     data = a.data * b.data
+    sa, sb = a.data.shape, b.data.shape
+    # each operand's gradient reads the other's values
+    bd, ad = (b.data if a.requires_grad else None), (a.data if b.requires_grad else None)
 
     def vjp(g):
-        return (_reduce_to_shape(g * b.data, a.shape) if a.requires_grad else None,
-                _reduce_to_shape(g * a.data, b.shape) if b.requires_grad else None)
+        return (None if bd is None else _reduce_to_shape(g * bd, sa),
+                None if ad is None else _reduce_to_shape(g * ad, sb))
 
     return _result(data, (a, b), vjp, "mul")
 
@@ -220,13 +278,15 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner extents disagree for shapes {a.shape} and {b.shape}")
     data = a.data @ b.data
+    sa, sb = a.data.shape, b.data.shape
+    bd, ad = (b.data if a.requires_grad else None), (a.data if b.requires_grad else None)
 
     def vjp(g):
         ga = gb = None
-        if a.requires_grad:
-            ga = _reduce_to_shape(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        if b.requires_grad:
-            gb = _reduce_to_shape(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        if bd is not None:
+            ga = _reduce_to_shape(g @ np.swapaxes(bd, -1, -2), sa)
+        if ad is not None:
+            gb = _reduce_to_shape(np.swapaxes(ad, -1, -2) @ g, sb)
         return ga, gb
 
     return _result(data, (a, b), vjp, "matmul")
@@ -235,7 +295,8 @@ def matmul(a, b) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     data = a.data.reshape(shape)
-    return _result(data, (a,), lambda g: (g.reshape(a.shape),), "reshape")
+    old = a.data.shape
+    return _result(data, (a,), lambda g: (g.reshape(old),), "reshape")
 
 
 def transpose(a, axes) -> Tensor:
@@ -267,9 +328,10 @@ def getitem(a, key) -> Tensor:
     data = a.data[key]
     if np.isscalar(data) or data.ndim == 0:
         data = np.asarray(data, dtype=a.data.dtype)
+    shape, dtype = a.data.shape, a.data.dtype
 
     def vjp(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(shape, dtype)
         if _is_basic(key):
             # each element is selected once; adding (not assigning) keeps
             # np.add.at's +0.0 where g holds -0.0
@@ -288,10 +350,11 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in ts], axis=axis)
     sizes = [t.shape[axis] for t in ts]
     splits = np.cumsum(sizes)[:-1]
+    tracked = [t.requires_grad for t in ts]
 
     def vjp(g):
-        return tuple(part if t.requires_grad else None
-                     for t, part in zip(ts, np.split(g, splits, axis=axis)))
+        return tuple(part if keep else None
+                     for keep, part in zip(tracked, np.split(g, splits, axis=axis)))
 
     return _result(data, tuple(ts), vjp, "concat")
 
@@ -299,7 +362,8 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
 def broadcast_to(a, shape) -> Tensor:
     a = _as_tensor(a)
     data = np.broadcast_to(a.data, shape).copy()
-    return _result(data, (a,), lambda g: (_reduce_to_shape(g, a.shape),), "broadcast_to")
+    old = a.data.shape
+    return _result(data, (a,), lambda g: (_reduce_to_shape(g, old),), "broadcast_to")
 
 
 def _normalize_axis(axis, ndim):
@@ -314,11 +378,12 @@ def sum_axis(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     axes = _normalize_axis(axis, a.data.ndim)
     data = a.data.sum(axis=axes, keepdims=keepdims)
+    shape = a.data.shape
 
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _result(np.asarray(data), (a,), vjp, "sum")
 
@@ -330,11 +395,12 @@ def mean_axis(a, axis=None, keepdims: bool = False) -> Tensor:
     if count == 0:
         raise UsageError("mean over an empty axis")
     data = a.data.mean(axis=axes, keepdims=keepdims)
+    shape, dtype = a.data.shape, a.data.dtype
 
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g / count, a.shape).copy().astype(a.data.dtype, copy=False),)
+        return (np.broadcast_to(g / count, shape).copy().astype(dtype, copy=False),)
 
     return _result(np.asarray(data), (a,), vjp, "mean")
 
@@ -376,17 +442,19 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     xhat *= inv
     np.multiply(xhat, gamma.data, out=y)
     y += beta.data
+    gd = gamma.data
+    tx, tgamma, tbeta = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def vjp(g):
         lead = tuple(range(g.ndim - 1))
         dx = dgamma = dbeta = None
-        if gamma.requires_grad:
+        if tgamma:
             dgamma = (g * xhat).sum(axis=lead)
-        if beta.requires_grad:
+        if tbeta:
             dbeta = g.sum(axis=lead)
-        if x.requires_grad:
+        if tx:
             # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-            dxhat = g * gamma.data
+            dxhat = g * gd
             mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
             dx = dxhat * xhat
             proj = dx.mean(axis=-1, keepdims=True)
@@ -405,31 +473,33 @@ def gelu(x) -> Tensor:
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
+    xd = x.data
 
     def vjp(g):
         # g * (cdf + x * pdf(x)), pdf(x) = exp(-x*x/2) / sqrt(2 pi)
-        dx = x.data * -0.5
-        dx *= x.data
+        dx = xd * -0.5
+        dx *= xd
         np.exp(dx, out=dx)
         dx *= _INV_SQRT2PI
-        dx *= x.data
+        dx *= xd
         dx += cdf
         dx *= g
         return (dx,)
 
-    return _result(x.data * cdf, (x,), vjp, "gelu")
+    return _result(xd * cdf, (x,), vjp, "gelu")
 
 
 def relu(x) -> Tensor:
     x = _as_tensor(x)
-    data = np.maximum(x.data, 0)
-    return _result(data, (x,), lambda g: (g * (x.data > 0),), "relu")
+    xd = x.data
+    return _result(np.maximum(xd, 0), (x,), lambda g: (g * (xd > 0),), "relu")
 
 
 def softplus(x) -> Tensor:
     x = _as_tensor(x)
-    data = np.logaddexp(0.0, x.data).astype(x.data.dtype, copy=False)
-    return _result(data, (x,), lambda g: (g * expit(x.data),), "softplus")
+    xd = x.data
+    data = np.logaddexp(0.0, xd).astype(xd.dtype, copy=False)
+    return _result(data, (x,), lambda g: (g * expit(xd),), "softplus")
 
 
 def cross_entropy(logits, labels) -> Tensor:
@@ -558,29 +628,37 @@ def depthwise_conv3d(x, kernel, dilation=(1.0, 1.0, 1.0)) -> Tensor:
     kflat = kern.transpose(1, 2, 0, 3).reshape(kt * kh * channels, kw)
     fold = (kflat @ _swap(mw).reshape(batch, kw, -1)).reshape(batch, kt, kh, channels, w_n, w_n)
     data = (v @ fold).sum(axis=(1, 2)).reshape(x.shape)
+    x_shape, tx, tk = x.data.shape, x.requires_grad, kernel.requires_grad
+    per_clip = dil_tensor is not None
+    rate_dtype = dil_tensor.data.dtype if per_clip else None
+    # keep only what the backward's live branches read
     if not need_rate_grad:
-        u = None  # only the rate derivative reads it
+        u = xs = None
+        if not tk:
+            v = None
+        if not tx:
+            fold = None
 
     def vjp(g):
         g = g.reshape(batch, 1, 1, channels, t_n * h_n, w_n)
         dx = dk = dd = None
-        if kernel.requires_grad or need_rate_grad:
+        if tk or need_rate_grad:
             dfold_t = (np.swapaxes(g, -1, -2) @ v).reshape(batch, -1, w_n * w_n)
-            if kernel.requires_grad:
+            if tk:
                 dk = (dfold_t @ mw.reshape(batch, kw, -1).transpose(0, 2, 1)).sum(axis=0)
                 dk = dk.reshape(kt, kh, channels, kw).transpose(2, 0, 1, 3)
-        if x.requires_grad or need_rate_grad:
+        if tx or need_rate_grad:
             dv = (g @ _swap(fold)).reshape(batch, kt, kh, channels, t_n, h_n, w_n)
             du = (_swap(mh)[:, None, :, None, None] @ dv).sum(axis=2)
             du = du.reshape(batch, kt, channels, t_n, h_n * w_n)
-            if x.requires_grad:
-                dx = (_swap(mt)[:, :, None] @ du).sum(axis=1).reshape(x.shape)
+            if tx:
+                dx = (_swap(mt)[:, :, None] @ du).sum(axis=1).reshape(x_shape)
         if need_rate_grad:
             dd = np.stack([_clip_dot(du, dmt[:, :, None] @ xs),
                            _clip_dot(dv, dmh[:, None, :, None, None] @ u),
                            _clip_dot(dfold_t, kflat @ dmw.reshape(batch, kw, -1))], axis=1)
-            dd = dd.astype(dil_tensor.data.dtype)
-        return (dx, dk) if dil_tensor is None else (dx, dk, dd)
+            dd = dd.astype(rate_dtype)
+        return (dx, dk, dd) if per_clip else (dx, dk)
 
     parents = (x, kernel) if dil_tensor is None else (x, kernel, dil_tensor)
     return _result(data, parents, vjp, "depthwise_conv3d")
@@ -590,23 +668,24 @@ def depthwise_conv3d(x, kernel, dilation=(1.0, 1.0, 1.0)) -> Tensor:
 # reverse-mode traversal
 # ---------------------------------------------------------------------------
 
-def trace_graph(root: Tensor) -> list[Tensor]:
-    """Nodes reachable from root through gradient-tracked edges, in
-    topological order (parents before consumers)."""
-    order: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+def trace_graph(root: Tensor) -> list[_Node]:
+    """The graph nodes reachable from ``root``'s node through
+    gradient-tracked edges, in topological order (parents before
+    consumers). Leaves are the nodes whose ``_vjp`` is None."""
+    order: list[_Node] = []
+    visited: set[_Node] = set()
+    stack: list[tuple[_Node, bool]] = [(_node_of(root), False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+            if p.requires_grad and p not in visited:
                 stack.append((p, False))
     return order
 
@@ -621,22 +700,23 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise UsageError("loss does not require gradients; nothing to differentiate")
     order = trace_graph(loss)
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[_Node, np.ndarray] = {order[-1]: np.ones_like(loss.data)}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
+        g = grads.pop(node, None)
         if g is None:
             continue
         if node._vjp is None:
-            node.grad = g if node.grad is None else node.grad + g
+            leaf = node.leaf
+            leaf.grad = g if leaf.grad is None else leaf.grad + g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             _guard_finite(pg, "backward")
-            if pg.shape != parent.data.shape:
-                pg = pg.reshape(parent.data.shape)
-            held = grads.get(id(parent))
-            grads[id(parent)] = pg if held is None else held + pg
+            if pg.shape != parent.shape:
+                pg = pg.reshape(parent.shape)
+            held = grads.get(parent)
+            grads[parent] = pg if held is None else held + pg
 
 
 def finite_difference_gradient(f, params: Tensor, eps: float = 1e-5) -> Tensor:

@@ -35,3 +35,40 @@ def test_benchmark_names_resolve(monkeypatch):
     finally:
         tr.uninstall()
     assert feadapter.adapter.apply_adapter is original
+
+
+def test_traced_step_passes_completeness_check(monkeypatch):
+    """Fast half of the traced smoke run: one tracked forward and
+    backward of a tiny d2_conv3d model under the tracer. Its
+    completeness check (graph nodes against wrapped op results plus
+    leaves) runs after the forward and before the backward, and the
+    traced gradients equal the untraced ones bit for bit."""
+    import feadapter
+    from feadapter import VideoViT, apply_freeze, synth_dataset
+    from feadapter import tensor as T
+    from feadapter.config import AdapterConfig, ModelConfig
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import tracer
+
+    cfg = ModelConfig(frames=2, height=8, width=8, patch=4, hidden=8, depth=2, heads=2,
+                      classes=2, adapter=AdapterConfig(variant="d2_conv3d", r=2))
+    model = VideoViT(cfg, seed=3)
+    apply_freeze(model, "adapter")
+    data = synth_dataset(3, 2, 2, 2, 8, 8)
+
+    def step():
+        model.zero_grad()
+        T.cross_entropy(model.forward(data.clips), data.labels).backward()
+        return {n: t.grad.tobytes() for n, t in model.params.items() if t.requires_grad}
+
+    plain = step()
+    tr = tracer.Tracer(feadapter)
+    try:
+        tr.install()
+        traced = step()
+    finally:
+        tr.uninstall()
+    names = [s[0] for s in tr.spans]
+    assert names.count("trace.check") == 2
+    assert tr.nodes_since_forward > 0 and "tensor.depthwise_conv3d.bwd" in names
+    assert traced == plain

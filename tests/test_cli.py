@@ -1,11 +1,14 @@
 """End-to-end CLI behavior through main(argv)."""
 
+import errno
 import json
+import os
 import sys
 
 import numpy as np
 import pytest
 
+import feadapter.checkpoint
 import feadapter.cli
 import feadapter.tensor
 from feadapter import VideoViT, count_tunable_params, load_experiment_config, save_checkpoint
@@ -159,6 +162,72 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(ckpt)]) == 0
         assert "UAR" in capsys.readouterr().out
         assert calls == {"read_checkpoint_header": 1, "experiment_from_values": 1}
+
+
+class _FullDisk:
+    """A file whose writes after the first raise, as on a disk that
+    fills part-way through an artifact."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _fill_disk_on(monkeypatch, name):
+    """Every file written for the artifact ``name`` fails after its first write."""
+    def fake_open(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        if "w" in mode and os.path.basename(path).startswith(name):
+            return _FullDisk(fh)
+        return fh
+    monkeypatch.setattr(feadapter.checkpoint, "open", fake_open, raising=False)
+
+
+class TestAtomicArtifacts:
+    """An artifact write that fails part-way leaves the previous file
+    intact and no temporary file behind."""
+
+    @pytest.mark.parametrize("name", ["checkpoint.bin", "params.json"])
+    def test_failed_train_write_keeps_previous_file(self, tiny_config, tmp_path, monkeypatch,
+                                                    name):
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_config)]) == 0
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        _fill_disk_on(monkeypatch, name)
+        with pytest.raises(OSError, match="No space left"):
+            main(["train", "--config", str(tiny_config), "--seed", "12"])
+        assert sorted(p.name for p in run.iterdir()) == sorted(before)
+        assert (run / name).read_bytes() == before[name]
+
+    def test_failed_sweep_write_keeps_previous_rows(self, tiny_config, tmp_path, monkeypatch):
+        def rows(war):
+            return [{"cell": c, "uar": war, "war": war, "trainable_params": 1} for c in "ab"]
+        run, path = tmp_path / "run", tmp_path / "run" / "sweep_temporal_conv.jsonl"
+        argv = ["sweep", "--config", str(tiny_config), "--kind", "temporal_conv"]
+        monkeypatch.setattr(feadapter.cli, "run_sweep", lambda *a, **k: rows(0.5))
+        assert main(argv) == 0
+        before = path.read_bytes()
+        monkeypatch.setattr(feadapter.cli, "run_sweep", lambda *a, **k: rows(1.0))
+        _fill_disk_on(monkeypatch, path.name)
+        with pytest.raises(OSError, match="No space left"):
+            main(argv)
+        assert [p.name for p in run.iterdir()] == [path.name]
+        assert path.read_bytes() == before
 
 
 class TestSweepCommand:

@@ -1,5 +1,8 @@
 """Experiment-config file format: parsing, validation, echo roundtrip."""
 
+import resource
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,6 +181,55 @@ class TestRanges:
     def test_direct_construction_is_validated(self, build, message):
         with pytest.raises(ConfigError, match=message):
             build()
+
+
+@pytest.fixture
+def memory_cap():
+    """Cap this process's address space 1 GiB above its current size
+    while the test runs, so that expanding a huge block range fails with
+    MemoryError instead of exhausting the machine."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+    cap = size + 2 ** 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap if hard < 0 else min(cap, hard), hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+class TestBlockRanges:
+    """Block ranges are checked against the depth before they are
+    expanded, as config text and as experiment values alike."""
+
+    DEPTH4 = {"model.depth": 4, "adapter.variant": "vanilla", "adapter.r": 2,
+              "train.freeze": "adapter"}
+
+    def build(self, form, blocks):
+        if form == "text":
+            text = "".join(f"{k} = {v}\n" for k, v in self.DEPTH4.items())
+            return experiment_from_values(parse_config_text(text + f"adapter.blocks = {blocks}"))
+        return experiment_from_values({**self.DEPTH4, "adapter.blocks": blocks})
+
+    @pytest.mark.parametrize("form", ["text", "values"])
+    @pytest.mark.parametrize("blocks,shown", [
+        ("1-1000000000000", "1-1000000000000"), ("0-2", "0-2"), ("2,3-5", "3-5"), ("6", "6"),
+    ])
+    def test_range_past_depth_raises_before_expanding(self, memory_cap, form, blocks, shown):
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError, match=f"^adapter blocks {shown} outside 1..4$"):
+            self.build(form, blocks)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("form", ["text", "values"])
+    def test_reversed_range_is_an_error(self, form):
+        with pytest.raises(ConfigError, match="bad value for 'adapter.blocks'"):
+            self.build(form, "1,3-1")
+
+    @pytest.mark.parametrize("form", ["text", "values"])
+    def test_ranges_inside_depth_expand_in_order(self, form):
+        assert self.build(form, "4,1-2").model.adapter.blocks == (4, 1, 2)
 
 
 # Values as config text and as JSON echo values: arbitrary strings and

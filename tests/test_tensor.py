@@ -1,7 +1,9 @@
 """Tensor-engine contracts: op semantics against independent oracles,
 reverse-mode gradients against central differences."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -578,9 +580,13 @@ def _tracked_ops(rng):
     grid, kern, rates = leaf(2, 2, 3, 4, 4), leaf(2, 3, 3, 3), leaf(2, 3, low=1.0)
     return {
         "add": lambda: x + y, "sub": lambda: x - y, "mul": lambda: x * y,
-        "matmul": lambda: T.matmul(x, w),
+        "neg": lambda: -x, "matmul": lambda: T.matmul(x, w),
+        "reshape": lambda: T.reshape(x, (6, 4)), "transpose": lambda: T.transpose(x, (2, 0, 1)),
+        "getitem": lambda: x[:, 1], "broadcast_to": lambda: T.broadcast_to(y, (3, 4)),
+        "sum": lambda: T.sum_axis(x, axis=1), "mean": lambda: T.mean_axis(x, axis=(0, 2)),
         "layer_norm": lambda: T.layer_norm(x, y, z),
-        "gelu": lambda: T.gelu(x), "softmax": lambda: T.softmax_lastdim(x),
+        "gelu": lambda: T.gelu(x), "relu": lambda: T.relu(x), "softplus": lambda: T.softplus(x),
+        "softmax": lambda: T.softmax_lastdim(x),
         "concat": lambda: T.concat([x, x * 2.0], axis=1),
         "cross_entropy": lambda: T.cross_entropy(x[0], np.array([0, 1, 3])),
         "depthwise_conv3d": lambda: depthwise_conv3d(grid, kern, rates),
@@ -633,6 +639,42 @@ class TestNoGrad:
         big = Tensor(np.array([1e300], dtype=np.float64), requires_grad=True)
         with np.errstate(over="ignore"), T.no_grad(), pytest.raises(NonFiniteError, match="mul"):
             T.mul(big, big)
+
+
+class TestSavedArrays:
+    """A VJP keeps arrays, never tensors, and only the arrays its rule
+    reads, so the forward's other arrays are freed with their tensors."""
+
+    def test_vjps_close_over_no_tensor(self):
+        def holds_tensor(obj):
+            return isinstance(obj, Tensor) or (
+                isinstance(obj, (list, tuple)) and any(map(holds_tensor, obj)))
+
+        held = {}
+        for name, op in _tracked_ops(np.random.default_rng(45)).items():
+            vjp = op()._vjp
+            cells = zip(vjp.__code__.co_freevars, vjp.__closure__ or ())
+            held[name] = [var for var, cell in cells if holds_tensor(cell.cell_contents)]
+        assert {name: vars_ for name, vars_ in held.items() if vars_} == {}
+
+    def test_matmul_keeps_its_input_only_for_a_tracked_weight(self):
+        rng = np.random.default_rng(46)
+        x_arr, w_arr = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
+        gamma, beta = Tensor(np.ones(4), dtype=np.float64), Tensor(np.zeros(4), dtype=np.float64)
+        alive, grads = {}, {}
+        for w_tracked in (False, True):
+            x = Tensor(x_arr, dtype=np.float64, requires_grad=True)
+            w = Tensor(w_arr, dtype=np.float64, requires_grad=w_tracked)
+            h = T.layer_norm(x, gamma, beta)
+            ref = weakref.ref(h.data)
+            y = T.matmul(h, w)
+            del h
+            gc.collect()
+            alive[w_tracked] = ref() is not None
+            weighted_scalar(y).backward()
+            grads[w_tracked] = x.grad
+        assert alive == {False: False, True: True}
+        np.testing.assert_array_equal(grads[False], grads[True])
 
 
 def _pruned_ops(rng):
