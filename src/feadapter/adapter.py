@@ -91,7 +91,7 @@ def dilation_rates(grid, dil_w, dil_b) -> Tensor:
     if len(grid.shape) != 5:
         raise ShapeError(f"dilation rates need a (batch, r, frames, H, W) grid, got {grid.shape}")
     pooled = T.mean_axis(grid, axis=(-3, -2, -1))  # (batch, r)
-    return 1.0 + T.softplus(T.matmul(pooled, dil_w) + dil_b)
+    return 1.0 + T.softplus(T.matmul(pooled, dil_w, dil_b))
 
 
 def apply_adapter(x, w: AdapterWeights, cfg: AdapterConfig, frames: int,
@@ -103,7 +103,7 @@ def apply_adapter(x, w: AdapterWeights, cfg: AdapterConfig, frames: int,
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.shape[-1] != w.down_w.shape[0]:
         raise ShapeError(f"adapter width mismatch: tokens {x.shape} vs down {w.down_w.shape}")
-    h = T.matmul(x, w.down_w) + w.down_b
+    h = T.matmul(x, w.down_w, w.down_b)
     if cfg.variant in ("dw_conv3d", "d2_conv3d"):
         grid, cls = tokens_to_grid(h, frames, *grid_hw)
         if cfg.variant == "d2_conv3d":
@@ -111,6 +111,8 @@ def apply_adapter(x, w: AdapterWeights, cfg: AdapterConfig, frames: int,
         else:
             rates = (1.0, 1.0, 1.0)
         h = grid_to_tokens(T.depthwise_conv3d(grid, w.kernel, rates), cls)
+    # (x + h W_up) + b_up: the bias joins after the residual, so folding
+    # it into the matmul would round differently
     return x + T.matmul(ACTIVATIONS[cfg.activation](h), w.up_w) + w.up_b
 
 

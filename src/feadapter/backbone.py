@@ -34,7 +34,7 @@ def embed_tokens(patches, proj_w, proj_b, cls_token, pos_embed) -> Tensor:
     patches = patches if isinstance(patches, Tensor) else Tensor(patches)
     if patches.shape[-1] != proj_w.shape[0]:
         raise ShapeError(f"patch width {patches.shape[-1]} does not match projection {proj_w.shape}")
-    tok = T.matmul(patches, proj_w) + proj_b
+    tok = T.matmul(patches, proj_w, proj_b)
     lead = tok.shape[:-2]
     hidden = tok.shape[-1]
     cls = T.broadcast_to(cls_token, (*lead, 1, hidden))
@@ -61,13 +61,13 @@ def mhsa(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
     def split(t):
         return T.moveaxis(T.reshape(t, (*lead, s, heads, dh)), -2, -3)
 
-    q = split(T.matmul(x, wq) + bq)
-    k = split(T.matmul(x, wk) + bk)
-    v = split(T.matmul(x, wv) + bv)
+    q = split(T.matmul(x, wq, bq))
+    k = split(T.matmul(x, wk, bk))
+    v = split(T.matmul(x, wv, bv))
     att = T.softmax_lastdim(T.matmul(q, _swap_last(k)) * scale)
     ctx = T.matmul(att, v)                       # (..., heads, s, dh)
     ctx = T.reshape(T.moveaxis(ctx, -3, -2), (*lead, s, hidden))
-    return T.matmul(ctx, wo) + bo
+    return T.matmul(ctx, wo, bo)
 
 
 def temporal_average_pool(cls_tokens) -> Tensor:
@@ -155,9 +155,8 @@ class VideoViT:
     def _block(self, x: Tensor, i: int) -> Tensor:
         cfg = self.cfg
         p, pre = self.params, f"blocks.{i}."
-        hook = None
-        if (i + 1) in cfg.adapter.resolved_blocks(cfg.depth):
-            hook = cfg.adapter.position
+        # parameter_layout gives a block adapter weights iff it carries one
+        hook = cfg.adapter.position if pre + "adapter.down.weight" in p else None
         if hook == "before_mhsa":
             x = self._run_adapter(x, i)
         h = T.layer_norm(x, p[pre + "ln1.gamma"], p[pre + "ln1.beta"])
@@ -170,9 +169,8 @@ class VideoViT:
         if hook == "after_mhsa":
             x = self._run_adapter(x, i)
         h = T.layer_norm(x, p[pre + "ln2.gamma"], p[pre + "ln2.beta"])
-        h = T.matmul(h, p[pre + "mlp.fc1.weight"]) + p[pre + "mlp.fc1.bias"]
-        h = T.gelu(h)
-        x = x + (T.matmul(h, p[pre + "mlp.fc2.weight"]) + p[pre + "mlp.fc2.bias"])
+        h = T.gelu(T.matmul(h, p[pre + "mlp.fc1.weight"], p[pre + "mlp.fc1.bias"]))
+        x = x + T.matmul(h, p[pre + "mlp.fc2.weight"], p[pre + "mlp.fc2.bias"])
         if hook == "after_mlp":
             x = self._run_adapter(x, i)
         return x
@@ -239,7 +237,7 @@ class VideoViT:
         """Logits for a batch of clips, (batch, classes). ``start`` is as
         for ``encode``."""
         feats = self.encode(clips, start)
-        return T.matmul(feats, self.params["head.weight"]) + self.params["head.bias"]
+        return T.matmul(feats, self.params["head.weight"], self.params["head.bias"])
 
     # -- parameter access ---------------------------------------------
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import ConfigError
 
@@ -42,12 +42,14 @@ class AdapterConfig:
         if len(self.kernel) != 3 or any(k < 1 or k % 2 == 0 for k in self.kernel):
             raise ConfigError(f"kernel extents must be odd and positive, got {self.kernel}")
 
-    def resolved_blocks(self, depth: int) -> tuple[int, ...]:
-        """The 1-based blocks actually carrying an adapter."""
+    def resolved_blocks(self, depth: int) -> Sequence[int]:
+        """The 1-based blocks actually carrying an adapter, ascending.
+        Every block (``blocks`` None) is a lazy ``range``, so a huge depth
+        costs nothing here."""
         if self.variant == "none":
             return ()
         if self.blocks is None:
-            return tuple(range(1, depth + 1))
+            return range(1, depth + 1)
         return tuple(sorted(set(self.blocks)))
 
     def active(self, depth: int) -> bool:
@@ -85,7 +87,8 @@ class ModelConfig:
             if self.adapter.r >= self.hidden:
                 raise ConfigError(
                     f"bottleneck width {self.adapter.r} must be below hidden width {self.hidden}")
-            bad = [b for b in self.adapter.resolved_blocks(self.depth) if not 1 <= b <= self.depth]
+            # every block (blocks None) lies in 1..depth by construction
+            bad = sorted({b for b in self.adapter.blocks or () if not 1 <= b <= self.depth})
             if bad:
                 raise ConfigError(f"adapter blocks {bad} outside 1..{self.depth}")
 

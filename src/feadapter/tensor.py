@@ -11,13 +11,22 @@ closure (VJP), and a tracked leaf holds one cached node that receives
 ``.grad``. A VJP keeps only the arrays its rule reads, plus shapes,
 dtypes and the operands' ``requires_grad`` flags as they were at
 forward time; it never holds a ``Tensor``. So an array that no VJP
-reads (the input of a frozen projection, a residual sum, a matmul
-output before its bias) is freed as soon as the forward drops its
-tensor. The graph is single-owner: build it, call ``backward`` once,
-drop it.
+reads (the input of a frozen projection, a residual sum) is freed as
+soon as the forward drops its tensor. The graph is single-owner: build
+it, call ``backward`` once, drop it.
+
+``matmul(a, b, bias)`` adds the bias in place to the fresh product:
+one node and one array where ``matmul(a, b) + bias`` makes two, with
+bitwise the same values and gradients. The model's biased projections
+use it; the adapter's up-projection does not, because its bias is
+added after the residual sum.
 
 Nothing is computed for a gradient nobody reads:
 
+- An op computes its output and checks it for non-finite values. When
+  grad mode is off or no operand requires grad (``_tracks``), it
+  returns that output untracked at once, before it builds a VJP or any
+  of the shapes, flags and arrays the VJP would keep.
 - Inside ``with no_grad():`` ops record no graph at all: outputs have
   no parents and ``requires_grad=False``, so a forward-only pass keeps
   no saved activations, and ``depthwise_conv3d`` skips the
@@ -70,7 +79,8 @@ def no_grad():
 
 
 def _guard_finite(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
+    # the ufunc reduce directly: ndarray.all goes through a Python wrapper
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NonFiniteError(f"{op}: produced non-finite values")
 
 
@@ -190,17 +200,31 @@ def _node_of(t: Tensor) -> _Node:
     return t._node
 
 
+def _tracks(*operands: Tensor) -> bool:
+    """Whether an op over ``operands`` records a node: grad mode is on
+    and some operand requires grad. An op that does not returns
+    ``_result(data, (), None, op)`` before it builds its VJP."""
+    if _grad_enabled:
+        for t in operands:
+            if t.requires_grad:
+                return True
+    return False
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
+    """The op's output after its non-finite check: a tracked result
+    whose node has ``parents`` when ``vjp`` is given (the op found that
+    it ``_tracks``), else an untracked one."""
     _guard_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._node = _Node(tuple(map(_node_of, parents)), vjp, data.shape)
-    else:
+    if vjp is None:
         out.requires_grad = False
         out._node = None
+    else:
+        out.requires_grad = True
+        out._node = _Node(tuple(map(_node_of, parents)), vjp, data.shape)
     return out
 
 
@@ -223,6 +247,8 @@ def add(a, b) -> Tensor:
     a, b = (_as_tensor(a, b if isinstance(b, Tensor) else None),
             _as_tensor(b, a if isinstance(a, Tensor) else None))
     data = a.data + b.data
+    if not _tracks(a, b):
+        return _result(data, (), None, "add")
     sa = a.data.shape if a.requires_grad else None
     sb = b.data.shape if b.requires_grad else None
 
@@ -237,6 +263,8 @@ def sub(a, b) -> Tensor:
     a, b = (_as_tensor(a, b if isinstance(b, Tensor) else None),
             _as_tensor(b, a if isinstance(a, Tensor) else None))
     data = a.data - b.data
+    if not _tracks(a, b):
+        return _result(data, (), None, "sub")
     sa = a.data.shape if a.requires_grad else None
     sb = b.data.shape if b.requires_grad else None
 
@@ -251,6 +279,8 @@ def mul(a, b) -> Tensor:
     a, b = (_as_tensor(a, b if isinstance(b, Tensor) else None),
             _as_tensor(b, a if isinstance(a, Tensor) else None))
     data = a.data * b.data
+    if not _tracks(a, b):
+        return _result(data, (), None, "mul")
     sa, sb = a.data.shape, b.data.shape
     # each operand's gradient reads the other's values
     bd, ad = (b.data if a.requires_grad else None), (a.data if b.requires_grad else None)
@@ -264,22 +294,44 @@ def mul(a, b) -> Tensor:
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    return _result(-a.data, (a,), lambda g: (-g,), "neg")
+    data = -a.data
+    if not _tracks(a):
+        return _result(data, (), None, "neg")
+    return _result(data, (a,), lambda g: (-g,), "neg")
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product with numpy-style broadcasting over leading axes.
+def matmul(a, b, bias=None) -> Tensor:
+    """Matrix product with numpy-style broadcasting over leading axes,
+    plus ``bias`` when given.
 
-    Gradients follow dA = dC @ B^T and dB = A^T @ dC.
+    The bias is added in place to the fresh product, so ``matmul(a, b,
+    bias)`` is bitwise ``matmul(a, b) + bias`` as one node and one
+    array. It must broadcast to the product's shape and must not need a
+    wider dtype. Gradients follow dA = dC @ B^T, dB = A^T @ dC and
+    dbias = dC summed over the axes the bias was broadcast along.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner extents disagree for shapes {a.shape} and {b.shape}")
-    data = a.data @ b.data
     sa, sb = a.data.shape, b.data.shape
+    if len(sa) < 2 or len(sb) < 2:
+        raise ShapeError(f"matmul needs >=2-d operands, got {sa} and {sb}")
+    if sa[-1] != sb[-2]:
+        raise ShapeError(f"matmul: inner extents disagree for shapes {sa} and {sb}")
+    data = a.data @ b.data
+    if bias is None:
+        operands = (a, b)
+    else:
+        bias = _as_tensor(bias, a)
+        try:
+            np.add(data, bias.data, out=data, casting="safe")
+        except (TypeError, ValueError):
+            raise ShapeError(f"matmul: bias {bias.shape} {bias.data.dtype} does not fit the "
+                             f"product {data.shape} {data.dtype}") from None
+        operands = (a, b, bias)
+    if not _tracks(*operands):
+        return _result(data, (), None, "matmul")
     bd, ad = (b.data if a.requires_grad else None), (a.data if b.requires_grad else None)
+    biased = bias is not None
+    sbias = bias.data.shape if biased and bias.requires_grad else None
 
     def vjp(g):
         ga = gb = None
@@ -287,14 +339,18 @@ def matmul(a, b) -> Tensor:
             ga = _reduce_to_shape(g @ np.swapaxes(bd, -1, -2), sa)
         if ad is not None:
             gb = _reduce_to_shape(np.swapaxes(ad, -1, -2) @ g, sb)
-        return ga, gb
+        if not biased:
+            return ga, gb
+        return ga, gb, None if sbias is None else _reduce_to_shape(g, sbias)
 
-    return _result(data, (a, b), vjp, "matmul")
+    return _result(data, operands, vjp, "matmul")
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     data = a.data.reshape(shape)
+    if not _tracks(a):
+        return _result(data, (), None, "reshape")
     old = a.data.shape
     return _result(data, (a,), lambda g: (g.reshape(old),), "reshape")
 
@@ -302,8 +358,10 @@ def reshape(a, shape) -> Tensor:
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
+    data = a.data.transpose(axes)
+    if not _tracks(a):
+        return _result(data, (), None, "transpose")
     inv = tuple(np.argsort(axes))
-    data = np.transpose(a.data, axes)
     return _result(data, (a,), lambda g: (np.transpose(g, inv),), "transpose")
 
 
@@ -328,6 +386,8 @@ def getitem(a, key) -> Tensor:
     data = a.data[key]
     if np.isscalar(data) or data.ndim == 0:
         data = np.asarray(data, dtype=a.data.dtype)
+    if not _tracks(a):
+        return _result(np.array(data, copy=True), (), None, "getitem")
     shape, dtype = a.data.shape, a.data.dtype
 
     def vjp(g):
@@ -348,6 +408,8 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     if not ts:
         raise UsageError("concat of an empty sequence")
     data = np.concatenate([t.data for t in ts], axis=axis)
+    if not _tracks(*ts):
+        return _result(data, (), None, "concat")
     sizes = [t.shape[axis] for t in ts]
     splits = np.cumsum(sizes)[:-1]
     tracked = [t.requires_grad for t in ts]
@@ -362,6 +424,8 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
 def broadcast_to(a, shape) -> Tensor:
     a = _as_tensor(a)
     data = np.broadcast_to(a.data, shape).copy()
+    if not _tracks(a):
+        return _result(data, (), None, "broadcast_to")
     old = a.data.shape
     return _result(data, (a,), lambda g: (_reduce_to_shape(g, old),), "broadcast_to")
 
@@ -377,7 +441,9 @@ def _normalize_axis(axis, ndim):
 def sum_axis(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     axes = _normalize_axis(axis, a.data.ndim)
-    data = a.data.sum(axis=axes, keepdims=keepdims)
+    data = np.asarray(a.data.sum(axis=axes, keepdims=keepdims))
+    if not _tracks(a):
+        return _result(data, (), None, "sum")
     shape = a.data.shape
 
     def vjp(g):
@@ -385,16 +451,18 @@ def sum_axis(a, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axes)
         return (np.broadcast_to(g, shape).copy(),)
 
-    return _result(np.asarray(data), (a,), vjp, "sum")
+    return _result(data, (a,), vjp, "sum")
 
 
 def mean_axis(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     axes = _normalize_axis(axis, a.data.ndim)
-    count = int(np.prod([a.shape[ax] for ax in axes])) if axes else 1
+    count = math.prod(a.data.shape[ax] for ax in axes)
     if count == 0:
         raise UsageError("mean over an empty axis")
-    data = a.data.mean(axis=axes, keepdims=keepdims)
+    data = np.asarray(a.data.mean(axis=axes, keepdims=keepdims))
+    if not _tracks(a):
+        return _result(data, (), None, "mean")
     shape, dtype = a.data.shape, a.data.dtype
 
     def vjp(g):
@@ -402,7 +470,7 @@ def mean_axis(a, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axes)
         return (np.broadcast_to(g / count, shape).copy().astype(dtype, copy=False),)
 
-    return _result(np.asarray(data), (a,), vjp, "mean")
+    return _result(data, (a,), vjp, "mean")
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +485,8 @@ def softmax_lastdim(x) -> Tensor:
     y = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
+    if not _tracks(x):
+        return _result(y, (), None, "softmax")
 
     def vjp(g):
         dx = g * y
@@ -436,12 +506,15 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last extent {d}")
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    # np.add.reduce(...) / d is ndarray.mean without its Python wrapper
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
     y = xhat * xhat
-    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(y, axis=-1, keepdims=True) / d + eps)
     xhat *= inv
     np.multiply(xhat, gamma.data, out=y)
     y += beta.data
+    if not _tracks(x, gamma, beta):
+        return _result(y, (), None, "layer_norm")
     gd = gamma.data
     tx, tgamma, tbeta = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
@@ -474,6 +547,9 @@ def gelu(x) -> Tensor:
     cdf += 1.0
     cdf *= 0.5
     xd = x.data
+    data = xd * cdf
+    if not _tracks(x):
+        return _result(data, (), None, "gelu")
 
     def vjp(g):
         # g * (cdf + x * pdf(x)), pdf(x) = exp(-x*x/2) / sqrt(2 pi)
@@ -486,19 +562,24 @@ def gelu(x) -> Tensor:
         dx *= g
         return (dx,)
 
-    return _result(xd * cdf, (x,), vjp, "gelu")
+    return _result(data, (x,), vjp, "gelu")
 
 
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     xd = x.data
-    return _result(np.maximum(xd, 0), (x,), lambda g: (g * (xd > 0),), "relu")
+    data = np.maximum(xd, 0)
+    if not _tracks(x):
+        return _result(data, (), None, "relu")
+    return _result(data, (x,), lambda g: (g * (xd > 0),), "relu")
 
 
 def softplus(x) -> Tensor:
     x = _as_tensor(x)
     xd = x.data
     data = np.logaddexp(0.0, xd).astype(xd.dtype, copy=False)
+    if not _tracks(x):
+        return _result(data, (), None, "softplus")
     return _result(data, (x,), lambda g: (g * expit(xd),), "softplus")
 
 
@@ -517,14 +598,16 @@ def cross_entropy(logits, labels) -> Tensor:
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     logp = z - lse
-    loss = -logp[np.arange(n), labels].mean()
+    loss = np.asarray(-logp[np.arange(n), labels].mean(), dtype=logits.data.dtype)
+    if not _tracks(logits):
+        return _result(loss, (), None, "cross_entropy")
 
     def vjp(g):
         d = np.exp(logp)
         d[np.arange(n), labels] -= 1.0
         return (g * d / n,)
 
-    return _result(np.asarray(loss, dtype=logits.data.dtype), (logits,), vjp, "cross_entropy")
+    return _result(loss, (logits,), vjp, "cross_entropy")
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +711,9 @@ def depthwise_conv3d(x, kernel, dilation=(1.0, 1.0, 1.0)) -> Tensor:
     kflat = kern.transpose(1, 2, 0, 3).reshape(kt * kh * channels, kw)
     fold = (kflat @ _swap(mw).reshape(batch, kw, -1)).reshape(batch, kt, kh, channels, w_n, w_n)
     data = (v @ fold).sum(axis=(1, 2)).reshape(x.shape)
+    parents = (x, kernel) if dil_tensor is None else (x, kernel, dil_tensor)
+    if not _tracks(*parents):
+        return _result(data, (), None, "depthwise_conv3d")
     x_shape, tx, tk = x.data.shape, x.requires_grad, kernel.requires_grad
     per_clip = dil_tensor is not None
     rate_dtype = dil_tensor.data.dtype if per_clip else None
@@ -660,7 +746,6 @@ def depthwise_conv3d(x, kernel, dilation=(1.0, 1.0, 1.0)) -> Tensor:
             dd = dd.astype(rate_dtype)
         return (dx, dk, dd) if per_clip else (dx, dk)
 
-    parents = (x, kernel) if dil_tensor is None else (x, kernel, dil_tensor)
     return _result(data, parents, vjp, "depthwise_conv3d")
 
 

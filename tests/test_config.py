@@ -222,6 +222,13 @@ class TestBlockRanges:
             self.build(form, blocks)
         assert time.perf_counter() - t0 < 1.0
 
+    def test_every_block_of_a_huge_depth_stays_unexpanded(self, memory_cap):
+        t0 = time.perf_counter()
+        exp = experiment_from_values({**self.DEPTH4, "model.depth": 10 ** 12, "model.hidden": 8,
+                                      "model.heads": 2})
+        assert time.perf_counter() - t0 < 1.0
+        assert exp.model.adapter.resolved_blocks(exp.model.depth) == range(1, 10 ** 12 + 1)
+
     @pytest.mark.parametrize("form", ["text", "values"])
     def test_reversed_range_is_an_error(self, form):
         with pytest.raises(ConfigError, match="bad value for 'adapter.blocks'"):

@@ -51,7 +51,36 @@ class TestMatmul:
         rng = np.random.default_rng(2)
         a = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64, requires_grad=True)
         b = Tensor(rng.normal(size=(4, 5)), dtype=np.float64, requires_grad=True)
+        c = Tensor(rng.normal(size=(5,)), dtype=np.float64, requires_grad=True)
         grads_close(lambda: weighted_scalar(T.matmul(a, b)), [a, b])
+        grads_close(lambda: weighted_scalar(T.matmul(a, b, c)), [a, b, c])
+
+    @pytest.mark.parametrize("bias_tracked", [True, False], ids=["tracked-bias", "frozen-bias"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bias_form_is_bitwise_matmul_then_add(self, dtype, bias_tracked):
+        rng = np.random.default_rng(3)
+        arrays = [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(5,))]
+        results = []
+        for fused in (True, False):
+            a, b, c = (Tensor(arr, dtype=dtype, requires_grad=i < 2 or bias_tracked)
+                       for i, arr in enumerate(arrays))
+            out = T.matmul(a, b, c) if fused else T.matmul(a, b) + c
+            weighted_scalar(out).backward()
+            results.append([out.data, a.grad, b.grad, c.grad])
+        fused, plain = results
+        assert fused[0].dtype == dtype and (fused[3] is None) == (not bias_tracked)
+        for got, want, what in zip(fused, plain, ("output", "a.grad", "b.grad", "bias.grad")):
+            if want is None:
+                assert got is None, what
+            else:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), what
+
+    def test_bias_that_does_not_fit_the_product_rejected(self):
+        a, b = Tensor(np.ones((3, 4)), dtype=np.float32), Tensor(np.ones((4, 5)), dtype=np.float32)
+        with pytest.raises(ShapeError, match="bias"):
+            T.matmul(a, b, Tensor(np.ones((2, 3, 5))))
+        with pytest.raises(ShapeError, match="bias"):
+            T.matmul(a, b, Tensor(np.ones(5), dtype=np.float64))
 
 
 class TestSoftmax:
@@ -569,18 +598,20 @@ class TestDeterminismAndGuards:
             Tensor([np.nan, 1.0])
 
 
-def _tracked_ops(rng):
+def _tracked_ops(rng, tracked=True):
     """Ops applied to gradient-tracked float64 inputs, including the conv
-    with per-clip rates that require grad (the d2_conv3d path)."""
+    with per-clip rates that require grad (the d2_conv3d path); with
+    ``tracked=False``, the same ops on inputs that take no gradient."""
     def leaf(*shape, low=None):
         arr = rng.normal(size=shape) if low is None else low + rng.random(shape)
-        return Tensor(arr, dtype=np.float64, requires_grad=True)
+        return Tensor(arr, dtype=np.float64, requires_grad=tracked)
 
-    x, y, z, w = leaf(2, 3, 4), leaf(4), leaf(4), leaf(4, 5)
+    x, y, z, w, c = leaf(2, 3, 4), leaf(4), leaf(4), leaf(4, 5), leaf(5)
     grid, kern, rates = leaf(2, 2, 3, 4, 4), leaf(2, 3, 3, 3), leaf(2, 3, low=1.0)
     return {
         "add": lambda: x + y, "sub": lambda: x - y, "mul": lambda: x * y,
         "neg": lambda: -x, "matmul": lambda: T.matmul(x, w),
+        "matmul_bias": lambda: T.matmul(x, w, c),
         "reshape": lambda: T.reshape(x, (6, 4)), "transpose": lambda: T.transpose(x, (2, 0, 1)),
         "getitem": lambda: x[:, 1], "broadcast_to": lambda: T.broadcast_to(y, (3, 4)),
         "sum": lambda: T.sum_axis(x, axis=1), "mean": lambda: T.mean_axis(x, axis=(0, 2)),
@@ -623,6 +654,26 @@ class TestNoGrad:
             conv()
         conv()
         assert built == [False] * 3 + [True] * 3
+
+    def test_untracked_results_build_no_vjp(self, monkeypatch):
+        vjps = []
+        real = T._result
+
+        def spy(data, parents, vjp, op):
+            vjps.append((op, vjp))
+            return real(data, parents, vjp, op)
+
+        monkeypatch.setattr(T, "_result", spy)
+        for tracked in (True, False):
+            ops = _tracked_ops(np.random.default_rng(44), tracked=tracked)
+            for name, op in ops.items():
+                vjps.clear()
+                if tracked:
+                    with T.no_grad():
+                        op()
+                else:
+                    op()
+                assert vjps and all(vjp is None for _, vjp in vjps), (name, tracked, vjps)
 
     def test_mode_restored_after_nesting_and_exception(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -688,6 +739,7 @@ def _pruned_ops(rng):
         "sub": (T.sub, [arr(3, 4), arr(3, 1)]),
         "mul": (T.mul, [arr(3, 4), arr(4)]),
         "matmul": (T.matmul, [arr(2, 3, 4), arr(4, 5)]),
+        "matmul_bias": (T.matmul, [arr(2, 3, 4), arr(4, 5), arr(5)]),
         "concat": (lambda a, b: T.concat([a, b], axis=1), [arr(3, 2), arr(3, 4)]),
         "layer_norm": (T.layer_norm, [arr(2, 3, 5), arr(5), arr(5)]),
         "depthwise_conv3d": (depthwise_conv3d,
