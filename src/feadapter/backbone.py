@@ -169,7 +169,9 @@ class VideoViT:
         if hook == "after_mhsa":
             x = self._run_adapter(x, i)
         h = T.layer_norm(x, p[pre + "ln2.gamma"], p[pre + "ln2.beta"])
-        h = T.gelu(T.matmul(h, p[pre + "mlp.fc1.weight"], p[pre + "mlp.fc1.bias"]))
+        # rebind h first: the ln2 output is then freed before GELU allocates
+        h = T.matmul(h, p[pre + "mlp.fc1.weight"], p[pre + "mlp.fc1.bias"])
+        h = T.gelu(h)
         x = x + T.matmul(h, p[pre + "mlp.fc2.weight"], p[pre + "mlp.fc2.bias"])
         if hook == "after_mlp":
             x = self._run_adapter(x, i)

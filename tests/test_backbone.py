@@ -1,11 +1,14 @@
 """Backbone contracts: tokenization, attention, pooling, whole-model
 forward against a plain-numpy reference, and adapter hook behavior."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from feadapter import (Tensor, VideoViT, embed_tokens, mhsa, patchify_clips,
                        temporal_average_pool)
+from feadapter import tensor as T
 from feadapter.config import AdapterConfig, ModelConfig
 from feadapter.errors import ConfigError, ShapeError, UsageError
 
@@ -280,3 +283,28 @@ class TestInvariants:
             results = list(pool.map(lambda c: m.forward(c[None]).data, clips))
         for got, want in zip(results, expected):
             np.testing.assert_array_equal(got, want)
+
+
+class TestForwardOnlyMemory:
+    def test_ln2_output_freed_before_the_mlp_gelu(self, monkeypatch):
+        # under no_grad nothing reads the ln2 output after fc1, so it
+        # must be gone before GELU allocates
+        m = VideoViT(desk_cfg(adapter=AdapterConfig(variant="d2_conv3d", r=8)), seed=3)
+        norms, dead = [], []
+        real_norm, real_gelu = T.layer_norm, T.gelu
+
+        def norm(*args):
+            out = real_norm(*args)
+            norms.append(weakref.ref(out.data))
+            return out
+
+        def gelu(x):
+            dead.append(norms[-1]() is None)
+            return real_gelu(x)
+
+        monkeypatch.setattr(T, "layer_norm", norm)
+        monkeypatch.setattr(T, "gelu", gelu)
+        clips = np.random.default_rng(5).normal(size=(2, 4, 3, 16, 16)).astype(np.float32)
+        with T.no_grad():
+            m.forward(clips)
+        assert dead == [True] * m.cfg.depth

@@ -3,6 +3,7 @@ reverse-mode gradients against central differences."""
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -690,6 +691,81 @@ class TestNoGrad:
         big = Tensor(np.array([1e300], dtype=np.float64), requires_grad=True)
         with np.errstate(over="ignore"), T.no_grad(), pytest.raises(NonFiniteError, match="mul"):
             T.mul(big, big)
+
+
+def _peak_bytes(fn):
+    """The peak memory traced while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# 1 Mi float32 elements, past the size that _guard_finite slices
+_LARGE = 1 << 20
+_LAYOUTS = ("c_order", "transposed", "permuted", "strided")
+
+
+def _large_layouts(poison=None):
+    """One large float32 array per memory layout: C order, a transpose
+    (F order), an axis permutation, and a strided slice, which has no
+    flat view. ``poison = (k, value)`` puts ``value`` at the k-th
+    element in memory order (k may be negative)."""
+    rng = np.random.default_rng(47)
+    flat = rng.normal(size=_LARGE).astype(np.float32)
+    wide = rng.normal(size=(1024, 2048)).astype(np.float32)
+    if poison is not None:
+        k, value = poison
+        flat[k] = value
+        row, col = divmod(k % _LARGE, 1024)
+        wide[row, 2 * col] = value
+    return {
+        "c_order": flat.reshape(1024, 1024),
+        "transposed": flat.reshape(1024, 1024).T,
+        "permuted": flat.reshape(64, 16, 1024).transpose(1, 2, 0),
+        "strided": wide[:, ::2],
+    }
+
+
+class TestForwardOnlyPeak:
+    """An untracked op allocates no array that nobody reads again, and
+    the finite check stays whole."""
+
+    def test_untracked_gelu_writes_into_its_own_buffer(self):
+        x = Tensor(_large_layouts()["c_order"])
+        out = []
+        peak = _peak_bytes(lambda: out.append(T.gelu(x)))
+        assert peak <= 1.3 * x.data.nbytes
+        tracked = T.gelu(Tensor(x.data, requires_grad=True))
+        np.testing.assert_array_equal(out[0].data, tracked.data)
+
+    @pytest.mark.parametrize("layout", _LAYOUTS[:3])
+    def test_large_finite_check_allocates_one_slice(self, layout):
+        arr = _large_layouts()[layout]
+        assert _peak_bytes(lambda: T._guard_finite(arr, "probe")) <= arr.nbytes / 32
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    @pytest.mark.parametrize("poison", [(0, -np.inf), (-1, np.nan), (-1, np.inf),
+                                        (_LARGE // 2 + 3, np.nan)],
+                             ids=["first_neg_inf", "last_nan", "last_inf", "middle_nan"])
+    def test_non_finite_value_in_any_slice_raises(self, layout, poison):
+        with pytest.raises(NonFiniteError, match="probe"):
+            T._guard_finite(_large_layouts(poison)[layout], "probe")
+
+    def test_overflow_in_the_last_slice_of_a_transposed_output_raises(self):
+        a = np.ones((1024, 1024), dtype=np.float32)
+        a[-1, -1] = 1e30
+        x = Tensor(a.T)
+        with np.errstate(over="ignore"), T.no_grad(), pytest.raises(NonFiniteError, match="mul"):
+            T.mul(x, x)
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_large_values_near_the_float32_max_pass(self, layout):
+        arr = _large_layouts()[layout]
+        arr *= np.float32(0.99 * np.finfo(np.float32).max) / np.abs(arr).max()
+        T._guard_finite(arr, "probe")
 
 
 class TestSavedArrays:
