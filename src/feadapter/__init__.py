@@ -1,12 +1,12 @@
 """Parameter-efficient image-to-video transfer with conv-carrying
 bottleneck adapters, built on a small self-contained autodiff engine."""
 
-from .adapter import (AdapterWeights, apply_adapter, count_tunable_params,
-                      derive_bottleneck_width, dilation_rates, grid_to_tokens, tokens_to_grid)
+from .adapter import AdapterWeights, apply_adapter, dilation_rates, grid_to_tokens, tokens_to_grid
 from .backbone import VideoViT, embed_tokens, mhsa, patchify_clips, temporal_average_pool
 from .checkpoint import load_checkpoint, load_named_tensors, save_checkpoint
 from .config import (AdapterConfig, ExperimentConfig, ModelConfig, TrainConfig,
-                     load_experiment_config, parameter_layout)
+                     count_tunable_params, derive_bottleneck_width, load_experiment_config,
+                     parameter_layout)
 from .data import VideoBatch, motion_pairs, synth_dataset
 from .gradcheck import gradcheck_model
 from .metrics import MetricsReport, uar_war

@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor as T
-from .config import (PARAM_BUDGET_TARGET, AdapterConfig, ModelConfig, group_is_trainable,
-                     parameter_layout)
+from .config import AdapterConfig
 from .errors import ShapeError
 from .tensor import Tensor
 
@@ -114,62 +113,3 @@ def apply_adapter(x, w: AdapterWeights, cfg: AdapterConfig, frames: int,
     # (x + h W_up) + b_up: the bias joins after the residual, so folding
     # it into the matmul would round differently
     return x + T.matmul(ACTIVATIONS[cfg.activation](h), w.up_w) + w.up_b
-
-
-# ---------------------------------------------------------------------------
-# parameter accounting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ParamCount:
-    trainable: int
-    total: int
-    ratio: float
-    groups: dict[str, dict]  # group -> {"params": int, "trainable": bool}
-
-
-def count_tunable_params(cfg: ModelConfig, mode: str) -> ParamCount:
-    """Exact parameter counts under a freeze mode, from the layout alone
-    (no allocation). ``apply_freeze`` sets a model's flags by the same
-    rule, ``group_is_trainable``."""
-    groups: dict[str, dict] = {}
-    for spec in parameter_layout(cfg):
-        g = groups.setdefault(
-            spec.group, {"params": 0, "trainable": group_is_trainable(spec.group, mode)})
-        g["params"] += spec.size
-
-    total = sum(g["params"] for g in groups.values())
-    trainable = sum(g["params"] for g in groups.values() if g["trainable"])
-    return ParamCount(trainable=trainable, total=total,
-                      ratio=trainable / total if total else 0.0, groups=groups)
-
-
-def adapter_params_per_block(hidden: int, r: int, kernel=(3, 3, 3),
-                             variant: str = "d2_conv3d") -> int:
-    """Closed-form adapter parameter count for one block."""
-    n = hidden * r + r + r * hidden + hidden  # projections with biases
-    if variant in ("dw_conv3d", "d2_conv3d"):
-        n += r * kernel[0] * kernel[1] * kernel[2]
-    if variant == "d2_conv3d":
-        n += r * 3 + 3
-    return n
-
-
-def derive_bottleneck_width(hidden: int, depth: int, classes: int,
-                            kernel=(3, 3, 3), variant: str = "d2_conv3d",
-                            target: int = PARAM_BUDGET_TARGET) -> int:
-    """Invert the closed-form tunable count (adapters in every block
-    plus the classifier head) for the bottleneck width in [1, hidden)
-    closest to the parameter budget target, the smaller one on a tie.
-    For the reference geometry (hidden 768, depth 12, 7 classes) this
-    lands on r = 350."""
-    head = hidden * classes + classes
-
-    def tunable(r):
-        return depth * adapter_params_per_block(hidden, r, kernel, variant) + head
-
-    # the count is linear in r, so the best width is next to the exact root
-    slope = tunable(1) - tunable(0)
-    root = (target - tunable(0)) // slope if slope > 0 else 1
-    candidates = {min(max(r, 1), max(hidden - 1, 1)) for r in (root, root + 1)}
-    return min(candidates, key=lambda r: (abs(tunable(r) - target), r))

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .adapter import AdapterWeights, apply_adapter
+from .adapter import RATE_HEAD_BIAS, AdapterWeights, apply_adapter
 from .config import ModelConfig, parameter_layout
 from .errors import ConfigError, ShapeError, UsageError
 from .tensor import Tensor
@@ -79,18 +79,28 @@ def temporal_average_pool(cls_tokens) -> Tensor:
     return T.mean_axis(cls_tokens, axis=-2)
 
 
-_EMBED = frozenset(("patch_embed.weight", "patch_embed.bias", "pos_embed", "cls_token"))
+# ParamSpec.init -> draw(rng, shape), in float64; only the normal draws
+# consume the generator
+INITS = {
+    "zeros": lambda rng, shape: np.zeros(shape),
+    "ones": lambda rng, shape: np.ones(shape),
+    "embed": lambda rng, shape: rng.normal(0.0, 0.02, size=shape),
+    "xavier": lambda rng, shape: rng.normal(0.0, math.sqrt(2.0 / sum(shape)), size=shape),
+    "conv": lambda rng, shape: rng.normal(0.0, 1.0 / math.sqrt(math.prod(shape[1:])),
+                                          size=shape),
+    "rate_bias": lambda rng, shape: np.full(shape, RATE_HEAD_BIAS),
+}
 
 
 class VideoViT:
     """The assembled video classifier.
 
-    Weights live in a flat name -> Tensor dict following
-    ``parameter_layout``. Backbone and adapter weights are drawn from
-    independent seeded streams, so the backbone bytes are identical
-    across adapter configurations for a given seed. A constructed model
-    is immutable during evaluation; training mutates weights under a
-    single writer.
+    Weights live in a flat name -> Tensor dict, and ``layout`` maps each
+    name to its ``parameter_layout`` spec. Backbone and adapter weights
+    are drawn from independent seeded streams, so the backbone bytes are
+    identical across adapter configurations for a given seed. A
+    constructed model is immutable during evaluation; training mutates
+    weights under a single writer.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
@@ -100,31 +110,12 @@ class VideoViT:
         backbone_ss, adapter_ss = np.random.SeedSequence(seed).spawn(2)
         rng_b = np.random.Generator(np.random.PCG64(backbone_ss))
         rng_a = np.random.Generator(np.random.PCG64(adapter_ss))
+        self.layout = {spec.name: spec for spec in parameter_layout(cfg)}
         self.params: dict[str, Tensor] = {}
-        for spec in parameter_layout(cfg):
+        for spec in self.layout.values():
             rng = rng_b if spec.group in ("backbone", "classifier") else rng_a
             self.params[spec.name] = Tensor(
-                self._init_param(spec.name, spec.shape, rng), requires_grad=True)
-
-    def _init_param(self, name: str, shape, rng) -> np.ndarray:
-        if name in ("pos_embed", "cls_token"):
-            return (rng.normal(0.0, 0.02, size=shape)).astype(self.dtype)
-        if name.startswith("head.") or name.endswith("adapter.up.weight"):
-            return np.zeros(shape, dtype=self.dtype)
-        if name.endswith("adapter.conv.kernel"):
-            taps = shape[1] * shape[2] * shape[3]
-            return (rng.normal(0.0, 1.0 / math.sqrt(taps), size=shape)).astype(self.dtype)
-        if name.endswith("adapter.dilation.weight"):
-            return np.zeros(shape, dtype=self.dtype)
-        if name.endswith("adapter.dilation.bias"):
-            from .adapter import RATE_HEAD_BIAS
-            return np.full(shape, RATE_HEAD_BIAS, dtype=self.dtype)
-        if name.endswith(".gamma"):
-            return np.ones(shape, dtype=self.dtype)
-        if name.endswith(".weight") and len(shape) == 2:
-            std = math.sqrt(2.0 / (shape[0] + shape[1]))
-            return (rng.normal(0.0, std, size=shape)).astype(self.dtype)
-        return np.zeros(shape, dtype=self.dtype)  # biases, ln beta
+                INITS[spec.init](rng, spec.shape).astype(self.dtype), requires_grad=True)
 
     # -- forward ------------------------------------------------------
 
@@ -177,25 +168,13 @@ class VideoViT:
             x = self._run_adapter(x, i)
         return x
 
-    def entry_block(self, name: str) -> int | None:
-        """The first block that reads tensor ``name``: i for
-        ``blocks.i.*``, depth for the final norm and the head (they read
-        the tokens leaving the last block), None for an embedding tensor
-        (it is read before any block). The tokens entering that block do
-        not depend on the tensor."""
-        if name in _EMBED:
-            return None
-        if name.startswith("blocks."):
-            return int(name.split(".")[1])
-        return self.cfg.depth
-
     def frozen_prefix(self) -> int | None:
         """The first block holding a gradient-tracked tensor, or depth
         when only the final norm and head are tracked (or nothing is).
         The embedding and the blocks before it are a frozen prefix whose
         output no update can change. None when an embedding tensor is
         tracked: then there is no frozen prefix."""
-        starts = [self.entry_block(name) for name, t in self.params.items() if t.requires_grad]
+        starts = [self.layout[name].entry for name, t in self.params.items() if t.requires_grad]
         if None in starts:
             return None
         return min(starts, default=self.cfg.depth)

@@ -12,11 +12,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .adapter import count_tunable_params
 from .backbone import VideoViT
 from .checkpoint import _load, atomic_write, read_checkpoint_header, save_checkpoint
-from .config import (ExperimentConfig, config_echo, experiment_from_values,
-                     load_experiment_config, with_overrides)
+from .config import (ExperimentConfig, config_echo, count_tunable_params,
+                     experiment_from_values, load_experiment_config, with_overrides)
 from .data import synth_dataset
 from .errors import (CheckpointError, ConfigError, NonFiniteError,
                      TrainingDiverged, UsageError)
@@ -139,13 +138,18 @@ def run_sweep(kind: str, exp: ExperimentConfig, f64: bool = False,
         values.pop("out.dir", None)
         values.update(overrides)
         payloads.append((kind, label, values, f64))
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    # a fork-started pool forks all its workers at the first submit, so
+    # it gets no more workers than cells
+    workers = min(parallel, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_sweep_cell, payloads))
     return [_run_sweep_cell(p) for p in payloads]
 
 
 def cmd_sweep(args) -> int:
+    if args.parallel < 0:
+        raise UsageError(f"--parallel must be at least 0, got {args.parallel}")
     exp = with_overrides(load_experiment_config(args.config), args.seed, args.out)
     rows = run_sweep(args.kind, exp, f64=args.f64, parallel=args.parallel)
     os.makedirs(exp.out_dir, exist_ok=True)
@@ -219,9 +223,12 @@ def cmd_gradcheck(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(p, config_required=True):
-    p.add_argument("--config", required=config_required, help="experiment config file")
+def _add_common(p):
+    p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--seed", type=int, default=None, help="override train.seed")
+
+
+def _add_run_outputs(p):
     p.add_argument("--out", default=None, help="override out.dir")
     p.add_argument("--f64", action="store_true", help="build the model in float64 (verification precision)")
 
@@ -234,12 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train per the config and write artifacts")
     _add_common(p)
+    _add_run_outputs(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="run an ablation sweep family")
     _add_common(p)
+    _add_run_outputs(p)
     p.add_argument("--kind", required=True, choices=SWEEP_KINDS)
-    p.add_argument("--parallel", type=int, default=0, help="run cells in N worker processes")
+    p.add_argument("--parallel", type=int, default=0, help="run cells in up to N worker processes")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("count-params", help="itemized parameter report")

@@ -1,8 +1,10 @@
-"""Configuration types, the parameter inventory they imply, and the
-flat key-value experiment-config file format."""
+"""Configuration types, the parameter inventory they imply with the
+counts and the default width taken from it, and the flat key-value
+experiment-config file format."""
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -16,7 +18,7 @@ FREEZE_MODES = ("full", "linear_probe", "adapter", "temporal_aggregation")
 
 # Reference tunable-parameter budget (millions are reported elsewhere;
 # this is the raw count) used to derive the default bottleneck width
-# for large geometries. See derive_bottleneck_width in adapter.py.
+# for large geometries. See derive_bottleneck_width below.
 PARAM_BUDGET_TARGET = 6_600_000
 
 
@@ -173,62 +175,66 @@ class ParamSpec:
     name: str
     shape: tuple[int, ...]
     group: str  # "backbone" | "adapter.block{i}" | "dilation.block{i}" | "classifier"
+    init: str   # a key of backbone.INITS: how VideoViT draws the tensor
+    # the first block that reads the tensor: i for blocks.i.*, depth for
+    # the final norm and the head (they read the tokens leaving the last
+    # block), None for an embedding tensor (read before any block). The
+    # tokens entering that block do not depend on the tensor.
+    entry: int | None
 
     @property
     def size(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
+        return math.prod(self.shape)
 
 
 def parameter_layout(cfg: ModelConfig) -> list[ParamSpec]:
     """Every parameter tensor the model owns, in construction order.
 
     This is the single source of truth shared by the weight builder,
-    the parameter counter, and the freeze planner.
+    the parameter counter, the width derivation and the freeze planner.
     """
     d = cfg.hidden
     specs: list[ParamSpec] = []
 
-    def bb(name, shape):
-        specs.append(ParamSpec(name, tuple(shape), "backbone"))
+    def add(name, shape, init, entry, group="backbone"):
+        specs.append(ParamSpec(name, tuple(shape), group, init, entry))
 
-    bb("patch_embed.weight", (3 * cfg.patch * cfg.patch, d))
-    bb("patch_embed.bias", (d,))
-    bb("pos_embed", (cfg.tokens_per_frame, d))
-    bb("cls_token", (d,))
+    add("patch_embed.weight", (3 * cfg.patch * cfg.patch, d), "xavier", None)
+    add("patch_embed.bias", (d,), "zeros", None)
+    add("pos_embed", (cfg.tokens_per_frame, d), "embed", None)
+    add("cls_token", (d,), "embed", None)
     ad = cfg.adapter
     adapter_blocks = ad.resolved_blocks(cfg.depth)
     for i in range(cfg.depth):
         pre = f"blocks.{i}."
-        bb(pre + "ln1.gamma", (d,))
-        bb(pre + "ln1.beta", (d,))
+        add(pre + "ln1.gamma", (d,), "ones", i)
+        add(pre + "ln1.beta", (d,), "zeros", i)
         for proj in ("q", "k", "v", "out"):
-            bb(pre + f"attn.{proj}.weight", (d, d))
-            bb(pre + f"attn.{proj}.bias", (d,))
-        bb(pre + "ln2.gamma", (d,))
-        bb(pre + "ln2.beta", (d,))
-        bb(pre + "mlp.fc1.weight", (d, cfg.mlp_width))
-        bb(pre + "mlp.fc1.bias", (cfg.mlp_width,))
-        bb(pre + "mlp.fc2.weight", (cfg.mlp_width, d))
-        bb(pre + "mlp.fc2.bias", (d,))
+            add(pre + f"attn.{proj}.weight", (d, d), "xavier", i)
+            add(pre + f"attn.{proj}.bias", (d,), "zeros", i)
+        add(pre + "ln2.gamma", (d,), "ones", i)
+        add(pre + "ln2.beta", (d,), "zeros", i)
+        add(pre + "mlp.fc1.weight", (d, cfg.mlp_width), "xavier", i)
+        add(pre + "mlp.fc1.bias", (cfg.mlp_width,), "zeros", i)
+        add(pre + "mlp.fc2.weight", (cfg.mlp_width, d), "xavier", i)
+        add(pre + "mlp.fc2.bias", (d,), "zeros", i)
         if (i + 1) in adapter_blocks:
             agrp = f"adapter.block{i + 1}"
-            specs.append(ParamSpec(pre + "adapter.down.weight", (d, ad.r), agrp))
-            specs.append(ParamSpec(pre + "adapter.down.bias", (ad.r,), agrp))
-            specs.append(ParamSpec(pre + "adapter.up.weight", (ad.r, d), agrp))
-            specs.append(ParamSpec(pre + "adapter.up.bias", (d,), agrp))
+            add(pre + "adapter.down.weight", (d, ad.r), "xavier", i, agrp)
+            add(pre + "adapter.down.bias", (ad.r,), "zeros", i, agrp)
+            # a zero up-projection makes a fresh adapter an exact no-op
+            add(pre + "adapter.up.weight", (ad.r, d), "zeros", i, agrp)
+            add(pre + "adapter.up.bias", (d,), "zeros", i, agrp)
             if ad.variant in ("dw_conv3d", "d2_conv3d"):
-                specs.append(ParamSpec(pre + "adapter.conv.kernel", (ad.r, *ad.kernel), agrp))
+                add(pre + "adapter.conv.kernel", (ad.r, *ad.kernel), "conv", i, agrp)
             if ad.variant == "d2_conv3d":
                 dgrp = f"dilation.block{i + 1}"
-                specs.append(ParamSpec(pre + "adapter.dilation.weight", (ad.r, 3), dgrp))
-                specs.append(ParamSpec(pre + "adapter.dilation.bias", (3,), dgrp))
-    bb("final_norm.gamma", (d,))
-    bb("final_norm.beta", (d,))
-    specs.append(ParamSpec("head.weight", (d, cfg.classes), "classifier"))
-    specs.append(ParamSpec("head.bias", (cfg.classes,), "classifier"))
+                add(pre + "adapter.dilation.weight", (ad.r, 3), "zeros", i, dgrp)
+                add(pre + "adapter.dilation.bias", (3,), "rate_bias", i, dgrp)
+    add("final_norm.gamma", (d,), "ones", cfg.depth)
+    add("final_norm.beta", (d,), "zeros", cfg.depth)
+    add("head.weight", (d, cfg.classes), "zeros", cfg.depth, "classifier")
+    add("head.bias", (cfg.classes,), "zeros", cfg.depth, "classifier")
     return specs
 
 
@@ -254,6 +260,59 @@ def group_is_trainable(group: str, mode: str) -> bool:
     if mode == "adapter":
         return group.startswith("adapter.") or group.startswith("dilation.")
     return False  # linear_probe / temporal_aggregation: head only
+
+
+@dataclass(frozen=True)
+class ParamCount:
+    trainable: int
+    total: int
+    ratio: float
+    groups: dict[str, dict]  # group -> {"params": int, "trainable": bool}
+
+
+def count_tunable_params(cfg: ModelConfig, mode: str) -> ParamCount:
+    """Exact parameter counts under a freeze mode, from the layout alone
+    (no allocation). ``apply_freeze`` sets a model's flags by the same
+    rule, ``group_is_trainable``."""
+    groups: dict[str, dict] = {}
+    for spec in parameter_layout(cfg):
+        g = groups.setdefault(
+            spec.group, {"params": 0, "trainable": group_is_trainable(spec.group, mode)})
+        g["params"] += spec.size
+
+    total = sum(g["params"] for g in groups.values())
+    trainable = sum(g["params"] for g in groups.values() if g["trainable"])
+    return ParamCount(trainable=trainable, total=total,
+                      ratio=trainable / total if total else 0.0, groups=groups)
+
+
+def derive_bottleneck_width(hidden: int, depth: int, classes: int,
+                            kernel=(3, 3, 3), variant: str = "d2_conv3d",
+                            target: int = PARAM_BUDGET_TARGET) -> int:
+    """The bottleneck width in [1, hidden) whose tunable count (adapters
+    in every block plus the classifier head) is closest to the parameter
+    budget target, the smaller one on a tie. Variant 'none' counts as
+    'vanilla'. For the reference geometry (hidden 768, depth 12, 7
+    classes) this lands on r = 350."""
+    variant = "vanilla" if variant == "none" else variant
+    widest = max(hidden - 1, 1)
+    if widest == 1:  # the only candidate, and no second width to take a slope from
+        return 1
+
+    def tunable(r):
+        # every block holds the same adapter, so count one and scale it
+        one = ModelConfig(frames=1, height=1, width=1, patch=1, hidden=hidden, depth=1, heads=1,
+                          classes=classes,
+                          adapter=AdapterConfig(variant=variant, r=r, kernel=tuple(kernel)))
+        counts = count_tunable_params(one, "adapter")
+        head = counts.groups["classifier"]["params"]
+        return depth * (counts.trainable - head) + head
+
+    # the count is linear in r, so the best width is next to the exact root
+    slope = tunable(2) - tunable(1)
+    root = 1 + (target - tunable(1)) // slope
+    candidates = {min(max(r, 1), widest) for r in (root, root + 1)}
+    return min(candidates, key=lambda r: (abs(tunable(r) - target), r))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +474,6 @@ def experiment_from_values(values: dict) -> ExperimentConfig:
         adapter["blocks"] = _expand_blocks(adapter["blocks"],
                                            fields[ModelConfig].get("depth", ModelConfig.depth))
     if adapter.get("r") == "auto":
-        from .adapter import derive_bottleneck_width
         geometry = ModelConfig(**fields[ModelConfig])
         adapter["r"] = derive_bottleneck_width(
             geometry.hidden, geometry.depth, geometry.classes,

@@ -9,7 +9,6 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import VideoViT
-from .config import parameter_layout
 from .errors import UsageError
 
 FLOOR = 1e-5  # relative-error denominator floor; coordinates this small are noise
@@ -48,7 +47,7 @@ def gradcheck_model(model: VideoViT, clips: np.ndarray, labels: np.ndarray,
     # moving one tensor leaves the tokens entering the first block that
     # reads it unchanged, so its differences start there, from tokens
     # encoded once per block at the saved weights
-    starts = {name: model.entry_block(name)
+    starts = {name: model.layout[name].entry
               for name, p in model.params.items() if p.requires_grad}
     with T.no_grad():
         inputs = {start: clips if start is None else model.encode_prefix(clips, start)
@@ -59,7 +58,6 @@ def gradcheck_model(model: VideoViT, clips: np.ndarray, labels: np.ndarray,
         with T.no_grad():
             return float(T.cross_entropy(model.forward(inputs[start], start), labels).data)
 
-    groups = {spec.name: spec.group for spec in parameter_layout(model.cfg)}
     worst: dict[str, float] = {}
     for name in sorted(model.params):
         p = model.params[name]
@@ -73,7 +71,7 @@ def gradcheck_model(model: VideoViT, clips: np.ndarray, labels: np.ndarray,
         finally:
             p.data = saved
         err = max_relative_error(analytic, numeric)
-        group = groups[name]
+        group = model.layout[name].group
         worst[group] = max(worst.get(group, 0.0), err)
     model.zero_grad()
     return worst

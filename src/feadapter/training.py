@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import VideoViT
-from .config import TrainConfig, check_freeze, group_is_trainable, parameter_layout
+from .config import TrainConfig, check_freeze, group_is_trainable
 from .data import VideoBatch
 from .errors import NonFiniteError, TrainingDiverged, UsageError
 from .metrics import MetricsReport, uar_war
@@ -34,7 +34,7 @@ def apply_freeze(model: VideoViT, mode: str) -> FreezePlan:
     temporal_aggregation), or adapters plus head (adapter)."""
     check_freeze(model.cfg, mode)
     trainable = []
-    for spec in parameter_layout(model.cfg):
+    for spec in model.layout.values():
         flag = group_is_trainable(spec.group, mode)
         model.params[spec.name].requires_grad = flag
         if flag:

@@ -8,7 +8,7 @@ from feadapter import (AdapterWeights, Tensor, VideoViT, apply_adapter,
                        count_tunable_params, derive_bottleneck_width, dilation_rates,
                        grid_to_tokens, tokens_to_grid)
 from feadapter import tensor as T
-from feadapter.adapter import RATE_HEAD_BIAS, adapter_params_per_block
+from feadapter.adapter import RATE_HEAD_BIAS
 from feadapter.config import AdapterConfig, ModelConfig
 from feadapter.errors import ShapeError
 
@@ -311,6 +311,15 @@ class TestParameterCounting:
     def test_derived_default_width_for_reference_geometry(self):
         assert derive_bottleneck_width(768, 12, 7) == 350
 
+    def test_variant_none_derives_the_vanilla_width(self):
+        # desk geometry: hidden 64, depth 4, 4 classes; the budget caps r at hidden - 1
+        assert (derive_bottleneck_width(64, 4, 4, variant="none")
+                == derive_bottleneck_width(64, 4, 4, variant="vanilla") == 63)
+
     def test_per_block_closed_form(self):
-        assert adapter_params_per_block(768, 350) == (
+        cfg = ModelConfig(frames=16, height=224, width=224, patch=16, hidden=768,
+                          depth=12, heads=12, classes=7,
+                          adapter=AdapterConfig(variant="d2_conv3d", r=350))
+        groups = count_tunable_params(cfg, mode="adapter").groups
+        assert groups["adapter.block1"]["params"] + groups["dilation.block1"]["params"] == (
             768 * 350 + 350 + 350 * 768 + 768 + 350 * 27 + 350 * 3 + 3)

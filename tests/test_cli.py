@@ -267,6 +267,51 @@ class TestSweepCommand:
             main(["sweep", "--config", str(tiny_config), "--kind", "nope"])
 
 
+class TestSweepWorkers:
+    """Cells run in a recording stand-in for the process pool, never in
+    real worker processes."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        def fake_cell(payload):
+            kind, label, _, _ = payload
+            return {"kind": kind, "cell": label, "uar": 1.0, "war": 1.0, "trainable_params": 0}
+
+        monkeypatch.setattr(feadapter.cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(feadapter.cli, "_run_sweep_cell", fake_cell)
+        return pools
+
+    @pytest.mark.parametrize("parallel,workers", [
+        ("100000", [3]), ("3", [3]), ("2", [2]), ("1", []), ("0", []),
+    ])
+    def test_workers_capped_at_cell_count(self, tiny_config, pools, parallel, workers):
+        assert main(["sweep", "--config", str(tiny_config), "--kind", "local_position",
+                     "--parallel", parallel]) == 0
+        assert pools == workers
+
+    def test_negative_parallel_is_an_error_line(self, tiny_config, pools, capsys):
+        assert main(["sweep", "--config", str(tiny_config), "--kind", "local_position",
+                     "--parallel", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --parallel must be at least 0, got -1\n"
+        assert pools == []
+        assert not (tiny_config.parent / "run").exists()
+
+
 class TestCountParamsCommand:
     def test_json_output(self, tiny_config, capsys):
         assert main(["count-params", "--config", str(tiny_config), "--json"]) == 0
@@ -345,6 +390,13 @@ class TestGradcheckCommand:
 class TestGradcheckFlags:
     """Flag values the check cannot run with are named errors, raised
     before any model is built."""
+
+    @pytest.mark.parametrize("flags", [["--out", "x"], ["--f64"]])
+    def test_run_output_flags_are_rejected(self, gc_config, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--config", str(gc_config), *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, message", [
         (["--eps", "0"], "--eps must be a positive finite number, got 0.0"),

@@ -229,6 +229,13 @@ class TestBlockRanges:
         assert time.perf_counter() - t0 < 1.0
         assert exp.model.adapter.resolved_blocks(exp.model.depth) == range(1, 10 ** 12 + 1)
 
+    def test_auto_width_at_a_huge_depth_counts_one_block(self, memory_cap):
+        t0 = time.perf_counter()
+        exp = experiment_from_values({**self.DEPTH4, "model.depth": 10 ** 12, "model.hidden": 8,
+                                      "model.heads": 2, "adapter.r": "auto"})
+        assert time.perf_counter() - t0 < 1.0
+        assert exp.model.adapter.r == 1  # the adapters alone pass the budget at any width
+
     @pytest.mark.parametrize("form", ["text", "values"])
     def test_reversed_range_is_an_error(self, form):
         with pytest.raises(ConfigError, match="bad value for 'adapter.blocks'"):
