@@ -30,14 +30,13 @@ Nothing is computed for a gradient nobody reads:
 - Inside ``with no_grad():`` ops record no graph at all: outputs have
   no parents and ``requires_grad=False``, so a forward-only pass keeps
   no saved activations, and ``depthwise_conv3d`` skips the
-  rate-derivative matrices. An untracked ``gelu`` multiplies into the
-  CDF buffer it just filled and returns it, since no VJP reads the CDF.
-  Values are bitwise those of grad mode, and the finite checks still
-  run on every output; one above ``_GUARD_SLICE`` elements that has a
-  flat view is checked slice by slice into one small scratch, not into
-  a bool array of its own size. ``train()`` uses it to encode its one
-  cache, the tokens entering the first block that holds a trainable
-  tensor (the frozen prefix), and every eval runs under it.
+  rate-derivative matrices. Values are bitwise those of grad mode, and
+  the finite checks still run on every output; one above
+  ``_GUARD_SLICE`` elements that has a flat view is checked slice by
+  slice into one small scratch, not into a bool array of its own size.
+  ``train()`` uses it to encode its one cache, the tokens entering the
+  first block that holds a trainable tensor (the frozen prefix), and
+  every eval runs under it.
 - A multi-operand VJP returns ``None`` for every operand with
   ``requires_grad=False`` instead of computing its gradient, so a
   frozen weight costs no backward work.
@@ -47,9 +46,12 @@ W), with its dilation rates as a float triple or a (batch, 3) tensor.
 Its trilinear sampling factors into one closed-form matrix per (clip,
 axis, kernel tap). The forward resamples the T taps and then the H
 taps as batched GEMMs, then folds the kernel into the W axis, one
-W x W matrix per (clip, t-tap, h-tap, channel). The largest
+W x W matrix per (clip, t-tap, h-tap, channel). The largest forward
 intermediate is therefore kT*kH times the input; the kT*kH*kW-fold
-tensor of resampled copies is never built.
+tensor of resampled copies is never built. The graph does not keep that
+intermediate either: the VJP holds the T-resampled input, kT times the
+input, and its backward rebuilds the H taps from it with one batched
+GEMM.
 """
 
 from __future__ import annotations
@@ -567,7 +569,13 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
 
 def gelu(x) -> Tensor:
-    """x * Phi(x) with the exact Gaussian CDF (erf form, not tanh)."""
+    """x * Phi(x) with the exact Gaussian CDF (erf form, not tanh).
+
+    A tracked call computes the derivative Phi(x) + x * pdf(x) in the
+    forward, while the CDF is at hand, and its VJP keeps that one array.
+    Either way the product goes into the CDF buffer, so the op holds at
+    most three arrays of the input's size: the input, the CDF and the
+    derivative."""
     x = _as_tensor(x)
     xd = x.data
     cdf = xd * _INV_SQRT2
@@ -575,23 +583,18 @@ def gelu(x) -> Tensor:
     cdf += 1.0
     cdf *= 0.5
     if not _tracks(x):
-        # no VJP reads the CDF, so the product goes into its buffer
         cdf *= xd
         return _result(cdf, (), None, "gelu")
-    data = xd * cdf
-
-    def vjp(g):
-        # g * (cdf + x * pdf(x)), pdf(x) = exp(-x*x/2) / sqrt(2 pi)
-        dx = xd * -0.5
-        dx *= xd
-        np.exp(dx, out=dx)
-        dx *= _INV_SQRT2PI
-        dx *= xd
-        dx += cdf
-        dx *= g
-        return (dx,)
-
-    return _result(data, (x,), vjp, "gelu")
+    # cdf + x * pdf(x), pdf(x) = exp(-x*x/2) / sqrt(2 pi)
+    deriv = xd * -0.5
+    deriv *= xd
+    np.exp(deriv, out=deriv)
+    deriv *= _INV_SQRT2PI
+    deriv *= xd
+    deriv += cdf
+    cdf *= xd
+    # a second backward over the same graph reads deriv again
+    return _result(cdf, (x,), lambda g: (deriv * g,), "gelu")
 
 
 def relu(x) -> Tensor:
@@ -697,9 +700,11 @@ def depthwise_conv3d(x, kernel, dilation=(1.0, 1.0, 1.0)) -> Tensor:
     the T taps and then the H taps as batched GEMMs, then folds the
     kernel into the W axis, one W x W matrix per (clip, t-tap, h-tap,
     channel), and contracts it with the resampled input. The largest
-    intermediate is kT*kH times the input. The backward runs these
-    stages' adjoints in reverse order; each rate's gradient dots the
-    output gradient of its stage with the stage rerun through dM/dd.
+    forward intermediate is kT*kH times the input. The VJP keeps the
+    T-resampled input (kT times the input) and rebuilds the H taps from
+    it. The backward runs the stages' adjoints in reverse order; each
+    rate's gradient dots the output gradient of its stage with the
+    stage rerun through dM/dd.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if kernel.data.ndim != 4:
@@ -746,11 +751,12 @@ def depthwise_conv3d(x, kernel, dilation=(1.0, 1.0, 1.0)) -> Tensor:
     x_shape, tx, tk = x.data.shape, x.requires_grad, kernel.requires_grad
     per_clip = dil_tensor is not None
     rate_dtype = dil_tensor.data.dtype if per_clip else None
-    # keep only what the backward's live branches read
+    # keep only what the backward's live branches read; never v, which
+    # is kT*kH times the input and is rebuilt from u where it is read
     if not need_rate_grad:
-        u = xs = None
+        xs = None
         if not tk:
-            v = None
+            u = None
         if not tx:
             fold = None
 
@@ -758,7 +764,10 @@ def depthwise_conv3d(x, kernel, dilation=(1.0, 1.0, 1.0)) -> Tensor:
         g = g.reshape(batch, 1, 1, channels, t_n * h_n, w_n)
         dx = dk = dd = None
         if tk or need_rate_grad:
+            # the forward's v, by the forward's own expression
+            v = (mh[:, None, :, None, None] @ u).reshape(batch, kt, kh, channels, t_n * h_n, w_n)
             dfold_t = (np.swapaxes(g, -1, -2) @ v).reshape(batch, -1, w_n * w_n)
+            del v
             if tk:
                 dk = (dfold_t @ mw.reshape(batch, kw, -1).transpose(0, 2, 1)).sum(axis=0)
                 dk = dk.reshape(kt, kh, channels, kw).transpose(2, 0, 1, 3)

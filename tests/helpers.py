@@ -1,6 +1,7 @@
 """Independent reference implementations used as test oracles, a
-checkpoint-header editor for corruption tests, and a reader for the
-line-delimited record files the CLI writes.
+checkpoint-header editor for corruption tests, a reader for the
+line-delimited record files the CLI writes, and memory probes: the
+arrays a graph's VJPs hold and the peak traced while a call runs.
 
 Every oracle here is written with plain numpy loops or direct formulas,
 never through the package's autodiff path, so a bug in the
@@ -10,6 +11,7 @@ implementation cannot hide in its own oracle.
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 
@@ -205,3 +207,51 @@ def read_records(path):
             assert isinstance(rec, dict), f"{path}:{lineno}: expected a JSON object per line"
             out.append(rec)
     return out
+
+
+def traced_peak(fn):
+    """The peak memory traced while ``fn()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def vjp_cells(vjp):
+    """What a VJP closes over, by free-variable name."""
+    cells = zip(vjp.__code__.co_freevars, vjp.__closure__ or ())
+    return {var: cell.cell_contents for var, cell in cells}
+
+
+def vjp_arrays(vjp):
+    """The arrays a VJP closes over, by free-variable name."""
+    return {var: obj for var, obj in vjp_cells(vjp).items() if isinstance(obj, np.ndarray)}
+
+
+def _buffer(arr):
+    """The array that owns ``arr``'s memory (``arr`` itself unless it is a view)."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def graph_arrays(root, params=()):
+    """The buffers that the VJPs of ``root``'s graph hold, each once,
+    without the graph's leaves and the tensors in ``params``."""
+    held, skip = {}, {id(_buffer(t.data)) for t in params}
+    for node in T.trace_graph(root):
+        if node._vjp is None:
+            skip.add(id(_buffer(node.leaf.data)))
+            continue
+        for arr in vjp_arrays(node._vjp).values():
+            buf = _buffer(arr)
+            held[id(buf)] = buf
+    return [buf for key, buf in held.items() if key not in skip]
+
+
+def graph_bytes(root, params=()):
+    """Bytes the VJPs of ``root``'s graph keep alive beyond the
+    parameters: a function of the shapes alone, not of the machine."""
+    return sum(buf.nbytes for buf in graph_arrays(root, params))

@@ -3,18 +3,19 @@ reverse-mode gradients against central differences."""
 
 import gc
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from feadapter import Tensor, backward, depthwise_conv3d, finite_difference_gradient
 from feadapter import tensor as T
 from feadapter.errors import ConfigError, NonFiniteError, ShapeError, UsageError
 from feadapter.tensor import trace_graph
 
-from helpers import conv3d_oracle, gelu_oracle, grads_close, softmax_oracle, weighted_scalar
+from helpers import (conv3d_oracle, gelu_oracle, grads_close, graph_bytes, softmax_oracle,
+                     traced_peak, vjp_arrays, vjp_cells, weighted_scalar)
 
 
 class TestMatmul:
@@ -693,16 +694,6 @@ class TestNoGrad:
             T.mul(big, big)
 
 
-def _peak_bytes(fn):
-    """The peak memory traced while ``fn()`` runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # 1 Mi float32 elements, past the size that _guard_finite slices
 _LARGE = 1 << 20
 _LAYOUTS = ("c_order", "transposed", "permuted", "strided")
@@ -736,7 +727,7 @@ class TestForwardOnlyPeak:
     def test_untracked_gelu_writes_into_its_own_buffer(self):
         x = Tensor(_large_layouts()["c_order"])
         out = []
-        peak = _peak_bytes(lambda: out.append(T.gelu(x)))
+        peak = traced_peak(lambda: out.append(T.gelu(x)))
         assert peak <= 1.3 * x.data.nbytes
         tracked = T.gelu(Tensor(x.data, requires_grad=True))
         np.testing.assert_array_equal(out[0].data, tracked.data)
@@ -744,7 +735,7 @@ class TestForwardOnlyPeak:
     @pytest.mark.parametrize("layout", _LAYOUTS[:3])
     def test_large_finite_check_allocates_one_slice(self, layout):
         arr = _large_layouts()[layout]
-        assert _peak_bytes(lambda: T._guard_finite(arr, "probe")) <= arr.nbytes / 32
+        assert traced_peak(lambda: T._guard_finite(arr, "probe")) <= arr.nbytes / 32
 
     @pytest.mark.parametrize("layout", _LAYOUTS)
     @pytest.mark.parametrize("poison", [(0, -np.inf), (-1, np.nan), (-1, np.inf),
@@ -779,9 +770,8 @@ class TestSavedArrays:
 
         held = {}
         for name, op in _tracked_ops(np.random.default_rng(45)).items():
-            vjp = op()._vjp
-            cells = zip(vjp.__code__.co_freevars, vjp.__closure__ or ())
-            held[name] = [var for var, cell in cells if holds_tensor(cell.cell_contents)]
+            cells = vjp_cells(op()._vjp)
+            held[name] = [var for var, obj in cells.items() if holds_tensor(obj)]
         assert {name: vars_ for name, vars_ in held.items() if vars_} == {}
 
     def test_matmul_keeps_its_input_only_for_a_tracked_weight(self):
@@ -802,6 +792,89 @@ class TestSavedArrays:
             grads[w_tracked] = x.grad
         assert alive == {False: False, True: True}
         np.testing.assert_array_equal(grads[False], grads[True])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_gradient_bitwise_that_of_the_input_and_cdf_rule(self, dtype):
+        # 0, -0.0, the erf branch edge near x = +-sqrt(2), and magnitudes
+        # whose pdf underflows to zero
+        edges = [0.0, -0.0, 1.414, -1.414, 1.4142135, -1.4142135, 8.0, -8.0,
+                 40.0, -40.0, 1e4, -1e4]
+        rng = np.random.default_rng(48)
+        xd = np.concatenate([edges, rng.normal(0.0, 3.0, 500)]).astype(dtype)
+        g = rng.normal(size=xd.shape).astype(dtype)
+        (dx,) = T.gelu(Tensor(xd, requires_grad=True))._vjp(g)
+        want = _gelu_grad_from_input_and_cdf(xd, g)
+        assert dx.dtype == want.dtype and dx.tobytes() == want.tobytes()
+
+    def test_tracked_gelu_keeps_its_derivative_alone(self):
+        x = Tensor(np.random.default_rng(49).normal(size=(3, 5)), requires_grad=True)
+        out = T.gelu(x)
+        held = list(vjp_arrays(out._vjp).values())
+        assert [arr.shape for arr in held] == [x.shape]
+        assert not np.shares_memory(held[0], x.data)
+        assert not np.shares_memory(held[0], out.data)
+
+    def test_tracked_gelu_forward_makes_two_input_sized_arrays(self):
+        x = Tensor(_large_layouts()["c_order"], requires_grad=True)
+        assert traced_peak(lambda: T.gelu(x)) <= 2.3 * x.data.nbytes
+
+    @pytest.mark.parametrize("tracked", [("x", "kernel", "rates"), ("kernel",)],
+                             ids=["all_tracked", "kernel_only"])
+    def test_conv_keeps_u_never_v(self, tracked):
+        rng = np.random.default_rng(50)
+        x = Tensor(rng.normal(size=(2, 2, 3, 4, 4)), requires_grad="x" in tracked)
+        kern = Tensor(rng.normal(size=(2, 3, 3, 3)), requires_grad="kernel" in tracked)
+        rates = Tensor(1.0 + rng.random((2, 3)), requires_grad="rates" in tracked)
+        held = vjp_arrays(depthwise_conv3d(x, kern, rates)._vjp)
+        kt, kh = kern.shape[1:3]
+        # u is kT times the input, v kT*kH times
+        assert held["u"].size == kt * x.data.size
+        assert max(arr.size for arr in held.values()) < kt * kh * x.data.size
+
+    def test_second_backward_doubles_the_gradients(self):
+        rng = np.random.default_rng(51)
+        x = Tensor(rng.normal(size=(2, 2, 3, 4, 4)), dtype=np.float64, requires_grad=True)
+        kern = Tensor(rng.normal(size=(2, 3, 3, 3)), dtype=np.float64, requires_grad=True)
+        rates = Tensor(1.0 + rng.random((2, 3)), dtype=np.float64, requires_grad=True)
+        loss = weighted_scalar(T.gelu(depthwise_conv3d(x, kern, rates)))
+        loss.backward()
+        once = [t.grad.copy() for t in (x, kern, rates)]
+        loss.backward()
+        for t, g in zip((x, kern, rates), once):
+            np.testing.assert_array_equal(t.grad, g + g)
+
+    def test_d2_model_graph_bytes(self):
+        from feadapter import VideoViT, synth_dataset
+        from feadapter.config import AdapterConfig, ModelConfig
+        from feadapter.training import apply_freeze
+
+        cfg = ModelConfig(frames=4, height=16, width=16, patch=8, hidden=16, depth=3,
+                          heads=4, classes=2, adapter=AdapterConfig(variant="d2_conv3d", r=2))
+        model = VideoViT(cfg, seed=0)
+        apply_freeze(model, "adapter")
+        data = synth_dataset(0, 2, 2, 4, 16, 16)
+        loss = T.cross_entropy(model.forward(data.clips), data.labels)
+        # sizes follow from the shapes alone; GELU VJPs that keep the
+        # input and the CDF, and conv VJPs that keep the kT*kH-fold
+        # resampled input, held 273796 bytes here
+        assert graph_bytes(loss, model.params.values()) <= 196612
+
+
+def _gelu_grad_from_input_and_cdf(xd, g):
+    """GELU's input gradient as a VJP that keeps the input and the CDF
+    computes it, with the same numpy calls in the same order."""
+    cdf = xd * (1.0 / math.sqrt(2.0))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    dx = xd * -0.5
+    dx *= xd
+    np.exp(dx, out=dx)
+    dx *= 1.0 / math.sqrt(2.0 * math.pi)
+    dx *= xd
+    dx += cdf
+    dx *= g
+    return dx
 
 
 def _pruned_ops(rng):

@@ -2,6 +2,7 @@
 schedule, recall metrics, synthetic data, and loop behavior."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from feadapter import (VideoBatch, VideoViT, adamw_step, apply_freeze, cosine_lr
                        evaluate_model, frozen_digest, motion_pairs, synth_dataset, train,
                        uar_war)
 from feadapter import tensor as T
+from feadapter import training
 from feadapter.config import AdapterConfig, ModelConfig, TrainConfig
 from feadapter.errors import ConfigError, ShapeError, TrainingDiverged, UsageError
 from feadapter.training import AdamW, _forward_only
 
-from helpers import read_records, uar_war_oracle
+from helpers import graph_arrays, read_records, uar_war_oracle
 
 
 def tiny_cfg(**kw):
@@ -287,6 +289,27 @@ class TestTrainLoop:
                          freeze="linear_probe")
         result = train(m, tiny_data(cfg), tc, on_eval=lambda epoch, met: epoch >= 2)
         assert len(result.records) == 3
+
+    def test_last_step_graph_freed_before_eval(self, monkeypatch):
+        cfg = adapter_cfg()
+        m = VideoViT(cfg, seed=4)
+        held, freed = [], []
+        real_cross_entropy, real_evaluate = T.cross_entropy, training.evaluate_model
+
+        def cross_entropy(logits, labels):
+            loss = real_cross_entropy(logits, labels)
+            held[:] = [weakref.ref(arr) for arr in graph_arrays(loss, m.params.values())]
+            return loss
+
+        def evaluate(*args):
+            freed.append(bool(held) and all(ref() is None for ref in held))
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(T, "cross_entropy", cross_entropy)
+        monkeypatch.setattr(training, "evaluate_model", evaluate)
+        tc = TrainConfig(lr=1e-3, batch=4, epochs=2, seed=4, eval_every=1, freeze="adapter")
+        train(m, tiny_data(cfg), tc)
+        assert freed == [True, True]
 
     def test_metrics_log_written(self, tmp_path):
         cfg = tiny_cfg()
