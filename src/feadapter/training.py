@@ -57,52 +57,41 @@ def frozen_digest(model: VideoViT) -> str:
 # optimization
 # ---------------------------------------------------------------------------
 
-def adamw_step(param: np.ndarray, grad: np.ndarray | None, state: dict,
-               lr: float, weight_decay: float,
-               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> np.ndarray:
-    """One decoupled-decay Adam update. The decay multiplies the
-    parameter by (1 - lr*weight_decay) before the adaptive step; state
-    holds first/second moments and the step count and is mutated."""
-    state["t"] += 1
-    t = state["t"]
-    b1, b2 = betas
-    out = param * (1.0 - lr * weight_decay)
-    if grad is None:
-        grad = np.zeros_like(param)
-    m, v = state["m"], state["v"]
-    m *= b1
-    m += (1.0 - b1) * grad
-    v *= b2
-    v += (1.0 - b2) * grad * grad
-    mhat = m / (1.0 - b1 ** t)
-    vhat = v / (1.0 - b2 ** t)
-    return out - lr * mhat / (np.sqrt(vhat) + eps)
+# AdamW's moment decay rates and denominator floor; no caller changes them
+_BETA1, _BETA2 = 0.9, 0.999
+_EPS = 1e-8
 
 
 class AdamW:
     """AdamW over a named parameter dict, updated in sorted-name order
-    so results are reproducible."""
+    so results are reproducible. The decay multiplies each parameter by
+    (1 - lr*weight_decay) before the adaptive step; one step count ``t``
+    serves every tensor, since every step updates them all."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float,
-                 betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float):
         self.params = params
         self.order = sorted(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
-        self.state = {
-            name: {"m": np.zeros_like(params[name].data),
-                   "v": np.zeros_like(params[name].data), "t": 0}
-            for name in self.order
-        }
+        self.t = 0
+        self.m = {name: np.zeros_like(params[name].data) for name in self.order}
+        self.v = {name: np.zeros_like(params[name].data) for name in self.order}
 
     def step(self, lr: float | None = None) -> None:
         use_lr = self.lr if lr is None else lr
+        self.t += 1
+        decay = 1.0 - use_lr * self.weight_decay
+        m_scale = 1.0 - _BETA1 ** self.t
+        v_scale = 1.0 - _BETA2 ** self.t
         for name in self.order:
             p = self.params[name]
-            p.data = adamw_step(p.data, p.grad, self.state[name], use_lr,
-                                self.weight_decay, self.betas, self.eps)
+            grad = np.zeros_like(p.data) if p.grad is None else p.grad
+            m, v = self.m[name], self.v[name]
+            m *= _BETA1
+            m += (1.0 - _BETA1) * grad
+            v *= _BETA2
+            v += (1.0 - _BETA2) * grad * grad
+            p.data = p.data * decay - use_lr * (m / m_scale) / (np.sqrt(v / v_scale) + _EPS)
 
     def zero_grad(self) -> None:
         for name in self.order:

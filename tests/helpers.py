@@ -1,5 +1,5 @@
 """Independent reference implementations used as test oracles, a
-checkpoint-header editor for corruption tests, a reader for the
+checkpoint-header reader and editor for corruption tests, a reader for the
 line-delimited record files the CLI writes, and memory probes: the
 arrays a graph's VJPs hold and the peak traced while a call runs.
 
@@ -180,18 +180,25 @@ def weighted_scalar(out, seed=0):
     return T.sum_axis(out * Tensor(w))
 
 
+def checkpoint_header(path):
+    """The decoded JSON header of the checkpoint file at ``path`` (a
+    pathlib.Path) and the file offset at which its payload starts."""
+    blob = path.read_bytes()
+    start = len(MAGIC) + 8
+    hlen = struct.unpack("<I", blob[len(MAGIC) + 4:start])[0]
+    return json.loads(blob[start:start + hlen]), start + hlen
+
+
 def rewrite_checkpoint_header(path, edit):
     """Decode the JSON header of the checkpoint file at ``path`` (a
     pathlib.Path), let ``edit`` change it in place, and write it back
     with its length field updated and the payload unchanged."""
-    blob = path.read_bytes()
-    start = len(MAGIC) + 8
-    hlen = struct.unpack("<I", blob[len(MAGIC) + 4:start])[0]
-    header = json.loads(blob[start:start + hlen])
+    header, payload_start = checkpoint_header(path)
     edit(header)
     head = json.dumps(header).encode("utf-8")
+    blob = path.read_bytes()
     path.write_bytes(blob[:len(MAGIC) + 4] + struct.pack("<I", len(head)) + head
-                     + blob[start + hlen:])
+                     + blob[payload_start:])
 
 
 def read_records(path):

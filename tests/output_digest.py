@@ -1,0 +1,178 @@
+#!/usr/bin/env python3
+"""One SHA-256 over the program's outputs, to show that a refactor left
+them bitwise unchanged.
+
+    python3 tests/output_digest.py [--src DIR] [--seed N]
+
+``DIR`` is a ``src/`` directory holding the ``feadapter`` package (by
+default this checkout's); run the script once on each tree and compare
+the last lines. At the tiny geometry of ``configs/desk.cfg`` narrowed
+down, it hashes:
+
+- 16 AdamW training steps (each loss and, at the end, every weight);
+- one ``train()`` of the late-third position cell (its records and
+  weights);
+- a save, ``load_checkpoint`` and ``evaluate_model`` (the logits and
+  the confusion matrix);
+- the float64 ``gradcheck_model`` errors, as ``float.hex``.
+
+It also runs one training step and one eval chunk at desk size, so
+that arrays above the engine's slice-checking threshold are hashed.
+The parts print one per line, then the whole digest. BLAS results may
+differ in their last bits from one CPU to another, so compare digests
+from one machine only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DESK_CONFIG = os.path.join(ROOT, "configs", "desk.cfg")
+TINY = {"model.frames": 4, "model.height": 16, "model.width": 16, "model.patch": 8,
+        "model.hidden": 16, "model.depth": 3, "model.heads": 4, "adapter.r": 2,
+        "data.clips_per_class": 4}
+STEPS = 16
+
+
+def _experiment(seed: int, overrides: dict):
+    from feadapter.config import config_echo, experiment_from_values, load_experiment_config
+    values = config_echo(load_experiment_config(DESK_CONFIG))
+    values.update(overrides)
+    values["train.seed"] = seed
+    return experiment_from_values(values)
+
+
+def _dataset(exp):
+    from feadapter import synth_dataset
+    m = exp.model
+    return synth_dataset(exp.train.seed, m.classes, exp.clips_per_class,
+                         m.frames, m.height, m.width, exp.noise)
+
+
+def _weights(h, model) -> None:
+    for name in sorted(model.params):
+        t = model.params[name]
+        h.update(name.encode())
+        h.update(bytes([t.requires_grad]))
+        h.update(np.ascontiguousarray(t.data).tobytes())
+
+
+def _train_steps(h, exp, steps: int) -> None:
+    """``steps`` forward/backward/AdamW steps on seeded batches."""
+    import feadapter as fa
+    from feadapter import tensor as T
+    data = _dataset(exp)
+    model = fa.VideoViT(exp.model, seed=exp.train.seed)
+    plan = fa.apply_freeze(model, "adapter")
+    opt = fa.AdamW({n: model.params[n] for n in plan.trainable},
+                   exp.train.lr, exp.train.weight_decay)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([exp.train.seed, 0xD16])))
+    for _ in range(steps):
+        idx = rng.choice(len(data), exp.train.batch, replace=False)
+        loss = T.cross_entropy(model.forward(data.clips[idx]), data.labels[idx])
+        loss.backward()
+        opt.step()
+        opt.zero_grad()
+        h.update(np.asarray(loss.data).tobytes())
+    _weights(h, model)
+
+
+def _train_cell(h, exp) -> None:
+    """A whole ``train()`` of the global_position late-third cell."""
+    import feadapter as fa
+    from feadapter.cli import sweep_cells
+    from feadapter.config import config_echo, experiment_from_values
+    values = config_echo(exp)
+    values.update(sweep_cells("global_position", exp)[2][1])
+    values.update({"train.epochs": 4, "train.eval_every": 2})
+    cell = experiment_from_values(values)
+    model = fa.VideoViT(cell.model, seed=cell.train.seed)
+    result = fa.train(model, _dataset(cell), cell.train)
+    h.update(repr((result.records, result.best_epoch)).encode())
+    _weights(h, model)
+
+
+def _eval_checkpoint(h, exp, clips: int | None = None) -> None:
+    """Save a model with randomized trainables, load it back, hash the
+    loaded model's logits (over the first ``clips`` clips) and, for the
+    whole set, its confusion matrix."""
+    import feadapter as fa
+    from feadapter import tensor as T
+    from feadapter.config import config_echo
+    from feadapter.gradcheck import randomize_trainable
+    data = _dataset(exp)
+    model = fa.VideoViT(exp.model, seed=exp.train.seed)
+    fa.apply_freeze(model, "adapter")
+    randomize_trainable(model, exp.train.seed)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "ck.bin")
+        fa.save_checkpoint(model, path, echo=config_echo(exp))
+        loaded = fa.load_checkpoint(path)
+    _weights(h, loaded)
+    with T.no_grad():
+        h.update(loaded.forward(data.clips[:clips]).data.tobytes())
+    if clips is None:
+        h.update(fa.evaluate_model(loaded, data).confusion.tobytes())
+
+
+def _gradcheck(h, exp) -> None:
+    import feadapter as fa
+    from feadapter.gradcheck import randomize_trainable
+    data = _dataset(exp)
+    model = fa.VideoViT(exp.model, seed=exp.train.seed, dtype=np.float64)
+    fa.apply_freeze(model, "adapter")
+    randomize_trainable(model, exp.train.seed)
+    errors = fa.gradcheck_model(model, data.clips[:2].astype(np.float64), data.labels[:2])
+    h.update(repr(sorted((g, e.hex()) for g, e in errors.items())).encode())
+
+
+def output_digest(seed: int) -> dict[str, str]:
+    """Each part's SHA-256 at ``seed``, then ``all``, the digest over them."""
+    tiny = _experiment(seed, TINY)
+    desk = _experiment(seed, {})
+    gc_geometry = {**TINY, "model.hidden": 8, "model.depth": 1, "model.heads": 2,
+                   "model.classes": 3, "data.clips_per_class": 1}
+    parts = {
+        "train_steps": lambda h: _train_steps(h, tiny, STEPS),
+        "train_cell": lambda h: _train_cell(h, _experiment(seed, {**TINY,
+                                                                  "data.clips_per_class": 10})),
+        "eval_checkpoint": lambda h: _eval_checkpoint(h, tiny),
+        "gradcheck": lambda h: _gradcheck(h, _experiment(seed, gc_geometry)),
+        "desk_step": lambda h: _train_steps(h, desk, 1),
+        "desk_eval_chunk": lambda h: _eval_checkpoint(h, desk, clips=32),
+    }
+    out = {}
+    for name, run in parts.items():
+        h = hashlib.sha256()
+        run(h)
+        out[name] = h.hexdigest()
+    out["all"] = hashlib.sha256("".join(out.values()).encode()).hexdigest()
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="directory holding the feadapter package")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    import feadapter
+    if os.path.dirname(os.path.dirname(os.path.abspath(feadapter.__file__))) \
+            != os.path.abspath(args.src):
+        sys.exit(f"output_digest.py: imported feadapter from {feadapter.__file__}, "
+                 f"not from {args.src}")
+    for name, value in output_digest(args.seed).items():
+        print(f"{name:<16} {value}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

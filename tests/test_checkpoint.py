@@ -1,6 +1,7 @@
 """Checkpoint format: bit-exact roundtrips, corruption handling,
-partial loads by tensor name."""
+partial loads by tensor name, and one read per load."""
 
+import builtins
 import os
 import struct
 import tempfile
@@ -12,11 +13,11 @@ from hypothesis import strategies as st
 
 from feadapter import (VideoViT, apply_freeze, load_checkpoint, load_named_tensors,
                        save_checkpoint)
-from feadapter.checkpoint import MAGIC, read_checkpoint_header
+from feadapter.checkpoint import MAGIC, load_experiment
 from feadapter.config import AdapterConfig, ModelConfig
 from feadapter.errors import CheckpointError
 
-from helpers import rewrite_checkpoint_header
+from helpers import checkpoint_header, rewrite_checkpoint_header
 
 
 def cfg(**kw):
@@ -58,12 +59,13 @@ class TestRoundtrip:
 
     def test_header_echo_matches_model_config(self, tmp_path):
         m = randomized_model()
-        path = str(tmp_path / "ck.bin")
-        save_checkpoint(m, path)
-        header = read_checkpoint_header(path)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(m, str(path))
+        header, _ = checkpoint_header(path)
         assert header["config"]["model.hidden"] == 32
         assert header["config"]["adapter.variant"] == "d2_conv3d"
-        assert load_checkpoint(path).cfg == m.cfg
+        again, exp = load_experiment(str(path))
+        assert again.cfg == exp.model == m.cfg
 
     def test_loaded_model_evaluates_identically(self, tmp_path):
         m = randomized_model(seed=3)
@@ -168,6 +170,25 @@ class TestCorruption:
             with pytest.raises(CheckpointError, match=f"has {nbytes} bytes"):
                 load(str(path))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_is_a_named_error(self, tmp_path, value):
+        # before the check, the value loaded and the first op that read
+        # it raised NonFiniteError under its own name
+        m = randomized_model()
+        path = tmp_path / "ck.bin"
+        save_checkpoint(m, str(path))
+        name = "blocks.1.adapter.down.weight"
+        header, payload_start = checkpoint_header(path)
+        entry = next(e for e in header["tensors"] if e["name"] == name)
+        blob = bytearray(path.read_bytes())
+        at = payload_start + entry["offset"] + 4 * 5
+        blob[at:at + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(blob))
+        for load in (load_checkpoint, lambda p: load_named_tensors(m, p, lambda name: True)):
+            with pytest.raises(CheckpointError,
+                               match=f"ck.bin: tensor '{name}' holds non-finite values"):
+                load(str(path))
+
     def test_load_into_mismatched_config_names_tensor(self, tmp_path):
         m = randomized_model()
         path = str(tmp_path / "ck.bin")
@@ -201,6 +222,36 @@ class TestPartialLoad:
         plain = VideoViT(cfg(adapter=AdapterConfig(variant="none")), seed=0)
         with pytest.raises(CheckpointError, match="adapter"):
             load_named_tensors(plain, path, lambda name: True)
+
+
+class TestOneRead:
+    def test_replace_between_opens_loads_the_first_file_whole(self, tmp_path, monkeypatch):
+        """A writer's ``os.replace`` lands right after the loader opens
+        the path. Two reads would take the second file's payload at the
+        first file's offsets, which the freeze flags' different header
+        lengths shift; one read loads the first file whole."""
+        first, second = randomized_model(seed=1), randomized_model(seed=2)
+        apply_freeze(first, "adapter")
+        apply_freeze(second, "linear_probe")
+        path, other = str(tmp_path / "ck.bin"), str(tmp_path / "other.bin")
+        save_checkpoint(first, path)
+        save_checkpoint(second, other)
+        real_open, opens = builtins.open, []
+
+        def racing_open(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            if file == path:
+                opens.append(file)
+                if len(opens) == 1:
+                    os.replace(other, path)
+            return fh
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", racing_open)
+            loaded = load_checkpoint(path)
+        for name, t in first.params.items():
+            assert loaded.params[name].data.tobytes() == t.data.tobytes(), name
+            assert loaded.params[name].requires_grad == t.requires_grad, name
+        assert len(opens) == 1
 
 
 SMALL_CFG = ModelConfig(frames=2, height=8, width=8, patch=4, hidden=8, depth=1, heads=2,

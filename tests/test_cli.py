@@ -1,8 +1,10 @@
 """End-to-end CLI behavior through main(argv)."""
 
+import builtins
 import errno
 import json
 import os
+import struct
 import sys
 
 import numpy as np
@@ -16,7 +18,7 @@ from feadapter.checkpoint import MAGIC
 from feadapter.cli import main, sweep_cells
 from feadapter.config import config_echo, experiment_from_values
 
-from helpers import read_records, rewrite_checkpoint_header
+from helpers import checkpoint_header, read_records, rewrite_checkpoint_header
 
 TINY = """
 model.frames = 4
@@ -75,6 +77,16 @@ class TestTrainCommand:
         bad.write_text("model.hiden = 4\n")
         assert main(["train", "--config", str(bad)]) == 1
         assert "model.hiden" in capsys.readouterr().err
+
+    def test_out_naming_a_file_is_an_error_line(self, tiny_config, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert main(["train", "--config", str(tiny_config), "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot make output directory") and str(taken) in err
+        assert taken.read_text() == "not a directory"
+        assert main(["train", "--config", str(tiny_config), "--out", ""]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot make output directory '':")
 
     def test_replay_same_seed_is_bit_identical(self, tiny_config, tmp_path):
         run = tmp_path / "run"
@@ -148,20 +160,39 @@ class TestEvalCommand:
         exp = load_experiment_config(str(tiny_config))
         ckpt = tmp_path / "ck.bin"
         save_checkpoint(VideoViT(exp.model, seed=0), str(ckpt), echo=config_echo(exp))
-        calls = {"read_checkpoint_header": 0, "experiment_from_values": 0}
-        for attr in calls:
-            original = getattr(feadapter.checkpoint, attr)
+        calls = {"open": 0, "experiment_from_values": 0}
+        real_open = builtins.open
 
-            def counted(*args, _attr=attr, _original=original):
-                calls[_attr] += 1
-                return _original(*args)
-            # wherever a feadapter module holds the function
-            for name, mod in list(sys.modules.items()):
-                if name.startswith("feadapter") and getattr(mod, attr, None) is original:
-                    monkeypatch.setattr(mod, attr, counted)
+        def counted_open(file, *args, **kwargs):
+            calls["open"] += file == str(ckpt)
+            return real_open(file, *args, **kwargs)
+        monkeypatch.setattr(builtins, "open", counted_open)
+        original = feadapter.checkpoint.experiment_from_values
+
+        def counted(*args):
+            calls["experiment_from_values"] += 1
+            return original(*args)
+        # wherever a feadapter module holds the function
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("feadapter") and \
+                    getattr(mod, "experiment_from_values", None) is original:
+                monkeypatch.setattr(mod, "experiment_from_values", counted)
         assert main(["eval", "--checkpoint", str(ckpt)]) == 0
         assert "UAR" in capsys.readouterr().out
-        assert calls == {"read_checkpoint_header": 1, "experiment_from_values": 1}
+        assert calls == {"open": 1, "experiment_from_values": 1}
+
+    def test_non_finite_tensor_blamed_on_the_checkpoint(self, tiny_config, tmp_path, capsys):
+        exp = load_experiment_config(str(tiny_config))
+        ckpt = tmp_path / "ck.bin"
+        save_checkpoint(VideoViT(exp.model, seed=0), str(ckpt), echo=config_echo(exp))
+        header, payload_start = checkpoint_header(ckpt)
+        blob = bytearray(ckpt.read_bytes())
+        blob[payload_start:payload_start + 4] = struct.pack("<f", float("nan"))
+        ckpt.write_bytes(bytes(blob))
+        assert main(["eval", "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: tensor '{header['tensors'][0]['name']}' "
+                              "holds non-finite values")
 
 
 class _FullDisk:
@@ -261,6 +292,18 @@ class TestSweepCommand:
         seq = read_records(str(tmp_path / "seq" / "sweep_local_position.jsonl"))
         par = read_records(str(tmp_path / "par" / "sweep_local_position.jsonl"))
         assert seq == par
+
+    def test_out_naming_a_file_fails_before_any_cell(self, tiny_config, tmp_path, capsys,
+                                                     monkeypatch):
+        cells = []
+        monkeypatch.setattr(feadapter.cli, "_run_sweep_cell", cells.append)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert main(["sweep", "--config", str(tiny_config), "--kind", "temporal_conv",
+                     "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot make output directory") and str(taken) in err
+        assert cells == []
 
     def test_unknown_kind_rejected_by_parser(self, tiny_config):
         with pytest.raises(SystemExit):

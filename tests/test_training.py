@@ -1,19 +1,20 @@
 """Training harness: freeze plans, optimizer arithmetic, the annealing
 schedule, recall metrics, synthetic data, and loop behavior."""
 
+import hashlib
 import math
 import weakref
 
 import numpy as np
 import pytest
 
-from feadapter import (VideoBatch, VideoViT, adamw_step, apply_freeze, cosine_lr,
-                       evaluate_model, frozen_digest, motion_pairs, synth_dataset, train,
-                       uar_war)
+from feadapter import (VideoBatch, VideoViT, apply_freeze, cosine_lr, evaluate_model,
+                       frozen_digest, motion_pairs, synth_dataset, train, uar_war)
 from feadapter import tensor as T
 from feadapter import training
 from feadapter.config import AdapterConfig, ModelConfig, TrainConfig
 from feadapter.errors import ConfigError, ShapeError, TrainingDiverged, UsageError
+from feadapter.tensor import Tensor
 from feadapter.training import AdamW, _forward_only
 
 from helpers import graph_arrays, read_records, uar_war_oracle
@@ -79,35 +80,90 @@ class TestApplyFreeze:
                 np.testing.assert_array_equal(t.data, snapshot[name])
 
 
+def adamw_once(p, g, lr, wd):
+    """``p`` after one AdamW step with gradient ``g``, over a one-tensor dict."""
+    t = Tensor(p.copy(), requires_grad=True)
+    t.grad = g
+    AdamW({"p": t}, lr=lr, weight_decay=wd).step()
+    return t.data
+
+
 class TestAdamW:
     def test_zero_lr_leaves_params_unchanged(self):
         p = np.array([1.0, -2.0, 3.0])
-        state = {"m": np.zeros(3), "v": np.zeros(3), "t": 0}
-        out = adamw_step(p, np.array([0.5, 0.5, 0.5]), state, lr=0.0, weight_decay=1e-2)
+        out = adamw_once(p, np.array([0.5, 0.5, 0.5]), lr=0.0, wd=1e-2)
         np.testing.assert_array_equal(out, p)
 
     def test_zero_gradient_applies_exact_decoupled_decay(self):
         p = np.array([2.0, -4.0])
-        state = {"m": np.zeros(2), "v": np.zeros(2), "t": 0}
-        out = adamw_step(p, np.zeros(2), state, lr=5e-4, weight_decay=1e-2)
+        out = adamw_once(p, np.zeros(2), lr=5e-4, wd=1e-2)
         np.testing.assert_array_equal(out, p * (1.0 - 5e-4 * 1e-2))
 
     def test_single_scalar_step_matches_hand_expansion(self):
         lr, wd, b1, b2, eps = 1e-3, 1e-2, 0.9, 0.999, 1e-8
-        p = np.array([0.5])
-        g = np.array([1.0])
-        state = {"m": np.zeros(1), "v": np.zeros(1), "t": 0}
-        out = adamw_step(p, g, state, lr, wd, (b1, b2), eps)
+        out = adamw_once(np.array([0.5]), np.array([1.0]), lr, wd)
         m_hat = ((1 - b1) * 1.0) / (1 - b1)
         v_hat = ((1 - b2) * 1.0) / (1 - b2)
         want = 0.5 * (1 - lr * wd) - lr * m_hat / (math.sqrt(v_hat) + eps)
         assert abs(out[0] - want) < 1e-10
 
     def test_optimizer_updates_in_sorted_name_order(self):
-        from feadapter.tensor import Tensor
         params = {"b": Tensor([1.0], requires_grad=True), "a": Tensor([1.0], requires_grad=True)}
         opt = AdamW(params, lr=1e-3, weight_decay=0.0)
         assert opt.order == ["a", "b"]
+
+    def test_tensors_share_one_step_count(self):
+        # "b" first gets a gradient at step 3: its bias correction is
+        # that of step 3, not of its own first step
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        params = {"a": Tensor(np.array([1.0]), requires_grad=True),
+                  "b": Tensor(np.array([1.0]), requires_grad=True)}
+        opt = AdamW(params, lr=lr, weight_decay=0.0)
+        for step in range(3):
+            params["a"].grad = np.array([1.0])
+            params["b"].grad = np.array([1.0]) if step == 2 else None
+            opt.step()
+        assert opt.t == 3
+        m_hat = (1 - b1) / (1 - b1 ** 3)
+        v_hat = (1 - b2) / (1 - b2 ** 3)
+        want = 1.0 - lr * m_hat / (math.sqrt(v_hat) + eps)
+        assert abs(params["b"].data[0] - want) < 1e-12
+        # a first step would have moved it by the whole lr
+        assert abs(params["b"].data[0] - (1.0 - lr)) > 1e-4
+
+    def test_tensor_without_gradient_gets_exact_decoupled_decay(self):
+        lr, wd = 5e-4, 1e-2
+        params = {"a": Tensor(np.array([1.0, -2.0]), requires_grad=True),
+                  "b": Tensor(np.array([3.0, -0.5, 8.0]), requires_grad=True)}
+        want = params["b"].data.copy()
+        opt = AdamW(params, lr=lr, weight_decay=wd)
+        for _ in range(4):
+            params["a"].grad = np.array([0.3, -0.7])
+            opt.step()
+            want = want * (1.0 - lr * wd)
+            np.testing.assert_array_equal(params["b"].data, want)
+
+    def test_twenty_steps_pinned(self):
+        """20 steps over three tensors of mixed shape and dtype, with a
+        missing gradient and a passed learning rate on some steps. The
+        update is elementwise, so its bits do not depend on BLAS."""
+        rng = np.random.default_rng(14)
+        shapes = {"a": ((3, 4), np.float32), "b": ((5,), np.float64),
+                  "c": ((2, 1, 3), np.float32)}
+        params = {n: Tensor(rng.normal(size=s).astype(d), requires_grad=True)
+                  for n, (s, d) in shapes.items()}
+        opt = AdamW(params, lr=1e-2, weight_decay=0.05)
+        h = hashlib.sha256()
+        for step in range(20):
+            for n, p in params.items():
+                p.grad = (None if (n == "c" and step % 7 == 3)
+                          else rng.normal(size=p.shape).astype(p.data.dtype))
+            opt.step(None if step % 2 else 1e-2 * (1 - step / 20))
+            opt.zero_grad()
+            for n in sorted(params):
+                h.update(params[n].data.tobytes())
+        assert {n: p.data.dtype for n, p in params.items()} == {n: d for n, (_, d) in shapes.items()}
+        assert h.hexdigest() == "1265da9957ff4f0672ef88a0d670cec581731ea7ac34e96b0c52cffa3f89930b"
 
 
 class TestCosineSchedule:
