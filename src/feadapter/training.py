@@ -19,7 +19,10 @@ from .errors import NonFiniteError, TrainingDiverged, UsageError
 from .metrics import MetricsReport, uar_war
 from .tensor import Tensor
 
-_EVAL_CHUNK = 32
+# clips per forward-only chunk (desk's train.batch); a larger chunk holds
+# more memory at its peak and was no faster (README, "Engine: what the
+# graph keeps")
+_EVAL_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,11 @@ class TrainResult:
 def _forward_only(fn, inputs: np.ndarray) -> np.ndarray:
     """``fn`` over ``inputs`` in chunks of ``_EVAL_CHUNK`` rows under
     ``no_grad``, outputs concatenated: the one forward-only loop, shared
-    by evaluation and the frozen-prefix cache."""
+    by evaluation and the frozen-prefix cache. The model is per clip up
+    to the head, so the chunk sets the working memory, not the result:
+    its peak is a chunk's MLP hidden activations. The 2-d rate and
+    classifier heads may round a row differently in a chunk of another
+    row count, so outputs are reproducible for a given ``inputs``."""
     with T.no_grad():
         return np.concatenate([fn(inputs[lo:lo + _EVAL_CHUNK]).data
                                for lo in range(0, len(inputs), _EVAL_CHUNK)])

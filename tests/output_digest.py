@@ -16,8 +16,11 @@ down, it hashes:
   the confusion matrix);
 - the float64 ``gradcheck_model`` errors, as ``float.hex``.
 
-It also runs one training step and one eval chunk at desk size, so
-that arrays above the engine's slice-checking threshold are hashed.
+It also runs one training step and one 32-clip forward at desk size,
+so that arrays above the engine's slice-checking threshold are hashed,
+and the chunked forward-only loop (``training._forward_only``) over
+desk traffic: the logits over the 160 desk clips, and the late-third
+cell's 40 clips as ``train()`` sees them, prefix tokens and logits.
 The parts print one per line, then the whole digest. BLAS results may
 differ in their last bits from one CPU to another, so compare digests
 from one machine only.
@@ -84,19 +87,34 @@ def _train_steps(h, exp, steps: int) -> None:
     _weights(h, model)
 
 
-def _train_cell(h, exp) -> None:
-    """A whole ``train()`` of the global_position late-third cell."""
-    import feadapter as fa
+def _late_cell(exp):
+    """The global_position late-third cell of ``exp``, 10 clips a class."""
     from feadapter.cli import sweep_cells
     from feadapter.config import config_echo, experiment_from_values
     values = config_echo(exp)
     values.update(sweep_cells("global_position", exp)[2][1])
-    values.update({"train.epochs": 4, "train.eval_every": 2})
-    cell = experiment_from_values(values)
+    values.update({"train.epochs": 4, "train.eval_every": 2, "data.clips_per_class": 10})
+    return experiment_from_values(values)
+
+
+def _train_cell(h, exp) -> None:
+    """A whole ``train()`` of the global_position late-third cell."""
+    import feadapter as fa
+    cell = _late_cell(exp)
     model = fa.VideoViT(cell.model, seed=cell.train.seed)
     result = fa.train(model, _dataset(cell), cell.train)
     h.update(repr((result.records, result.best_epoch)).encode())
     _weights(h, model)
+
+
+def _randomized(exp, dtype=np.float32):
+    """``exp``'s model in adapter mode, its trainables randomized."""
+    import feadapter as fa
+    from feadapter.gradcheck import randomize_trainable
+    model = fa.VideoViT(exp.model, seed=exp.train.seed, dtype=dtype)
+    fa.apply_freeze(model, "adapter")
+    randomize_trainable(model, exp.train.seed)
+    return model
 
 
 def _eval_checkpoint(h, exp, clips: int | None = None) -> None:
@@ -106,11 +124,8 @@ def _eval_checkpoint(h, exp, clips: int | None = None) -> None:
     import feadapter as fa
     from feadapter import tensor as T
     from feadapter.config import config_echo
-    from feadapter.gradcheck import randomize_trainable
     data = _dataset(exp)
-    model = fa.VideoViT(exp.model, seed=exp.train.seed)
-    fa.apply_freeze(model, "adapter")
-    randomize_trainable(model, exp.train.seed)
+    model = _randomized(exp)
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "ck.bin")
         fa.save_checkpoint(model, path, echo=config_echo(exp))
@@ -122,13 +137,24 @@ def _eval_checkpoint(h, exp, clips: int | None = None) -> None:
         h.update(fa.evaluate_model(loaded, data).confusion.tobytes())
 
 
+def _forward_only_passes(h, exp) -> None:
+    """``training._forward_only`` with randomized trainables: the logits
+    over all of ``exp``'s clips, then the late-third cell's prefix tokens
+    and its logits from them, as ``train()`` computes them."""
+    from feadapter.training import _forward_only
+    h.update(_forward_only(_randomized(exp).forward, _dataset(exp).clips).tobytes())
+    cell = _late_cell(exp)
+    model = _randomized(cell)
+    start = model.frozen_prefix()
+    tokens = _forward_only(lambda c: model.encode_prefix(c, start), _dataset(cell).clips)
+    h.update(tokens.tobytes())
+    h.update(_forward_only(lambda x: model.forward(x, start), tokens).tobytes())
+
+
 def _gradcheck(h, exp) -> None:
     import feadapter as fa
-    from feadapter.gradcheck import randomize_trainable
     data = _dataset(exp)
-    model = fa.VideoViT(exp.model, seed=exp.train.seed, dtype=np.float64)
-    fa.apply_freeze(model, "adapter")
-    randomize_trainable(model, exp.train.seed)
+    model = _randomized(exp, np.float64)
     errors = fa.gradcheck_model(model, data.clips[:2].astype(np.float64), data.labels[:2])
     h.update(repr(sorted((g, e.hex()) for g, e in errors.items())).encode())
 
@@ -141,12 +167,12 @@ def output_digest(seed: int) -> dict[str, str]:
                    "model.classes": 3, "data.clips_per_class": 1}
     parts = {
         "train_steps": lambda h: _train_steps(h, tiny, STEPS),
-        "train_cell": lambda h: _train_cell(h, _experiment(seed, {**TINY,
-                                                                  "data.clips_per_class": 10})),
+        "train_cell": lambda h: _train_cell(h, tiny),
         "eval_checkpoint": lambda h: _eval_checkpoint(h, tiny),
         "gradcheck": lambda h: _gradcheck(h, _experiment(seed, gc_geometry)),
         "desk_step": lambda h: _train_steps(h, desk, 1),
         "desk_eval_chunk": lambda h: _eval_checkpoint(h, desk, clips=32),
+        "forward_only": lambda h: _forward_only_passes(h, desk),
     }
     out = {}
     for name, run in parts.items():

@@ -17,7 +17,7 @@ from feadapter.errors import ConfigError, ShapeError, TrainingDiverged, UsageErr
 from feadapter.tensor import Tensor
 from feadapter.training import AdamW, _forward_only
 
-from helpers import graph_arrays, read_records, uar_war_oracle
+from helpers import graph_arrays, read_records, traced_peak, uar_war_oracle
 
 
 def tiny_cfg(**kw):
@@ -405,19 +405,24 @@ class TestFrozenPrefixCache:
 
     def test_cached_logits_and_gradients_bitwise_equal_to_forward(self):
         m = self.late_model()
-        data = tiny_data(m.cfg, clips_per_class=20)  # 40 clips: the cache spans two chunks
         start = m.frozen_prefix()
-        cache = _forward_only(lambda c: m.encode_prefix(c, start), data.clips)
-        idx = np.array([37, 3, 31, 12, 0, 33, 8, 20])
-        outs = []
-        for logits in (m.forward(cache[idx], start), m.forward(data.clips[idx])):
-            m.zero_grad()
-            T.cross_entropy(logits, data.labels[idx]).backward()
-            outs.append((logits.data, {n: t.grad for n, t in m.params.items() if t.requires_grad}))
-        (cached, cached_grads), (direct, direct_grads) = outs
-        np.testing.assert_array_equal(cached, direct)
-        for name, g in cached_grads.items():
-            np.testing.assert_array_equal(g, direct_grads[name], err_msg=name)
+        # 40 clips are five whole chunks of ``_EVAL_CHUNK``; 42 leave a
+        # partial last chunk, read at rows 40 and 41
+        for clips_per_class, idx in ((20, [37, 3, 31, 12, 0, 33, 8, 20]),
+                                     (21, [41, 3, 31, 12, 0, 33, 40, 20])):
+            data = tiny_data(m.cfg, clips_per_class=clips_per_class)
+            cache = _forward_only(lambda c: m.encode_prefix(c, start), data.clips)
+            idx = np.array(idx)
+            outs = []
+            for logits in (m.forward(cache[idx], start), m.forward(data.clips[idx])):
+                m.zero_grad()
+                T.cross_entropy(logits, data.labels[idx]).backward()
+                outs.append((logits.data,
+                             {n: t.grad for n, t in m.params.items() if t.requires_grad}))
+            (cached, cached_grads), (direct, direct_grads) = outs
+            np.testing.assert_array_equal(cached, direct)
+            for name, g in cached_grads.items():
+                np.testing.assert_array_equal(g, direct_grads[name], err_msg=name)
 
     def test_no_grad_forward_bitwise_equal_to_grad_mode(self):
         m = self.late_model()
@@ -441,3 +446,48 @@ class TestFrozenPrefixCache:
         m = self.late_model()
         with pytest.raises(ShapeError):
             m.forward(np.zeros((2, 4, 6, 32), dtype=np.float32), 2)
+
+
+class TestForwardOnlyChunks:
+    """``_forward_only`` runs ``_EVAL_CHUNK`` clips at a time, so its
+    working memory does not grow with the clip count. The late model's
+    prefix (the embedding and two blocks without adapters) stacks every
+    matmul per frame, so the chunking changes no bit of its tokens; the
+    2-d rate and classifier heads carry no such guarantee (README,
+    "Numerical conventions")."""
+
+    late_model = TestFrozenPrefixCache.late_model
+
+    def test_eval_peak_does_not_grow_with_the_clip_count(self):
+        m = self.late_model()
+        data = tiny_data(m.cfg, clips_per_class=32)
+        peak = {n: traced_peak(lambda: evaluate_model(m, VideoBatch(data.clips[:n],
+                                                                    data.labels[:n])))
+                for n in (8, 64)}
+        assert peak[64] <= 1.2 * peak[8], peak
+
+    def test_prefix_cache_peak_grows_only_by_the_cache(self):
+        # the cache itself grows with the clip count, and concatenating
+        # holds the chunks and their join at once: beyond those two
+        # copies the build must not grow
+        m = self.late_model()
+        clips = tiny_data(m.cfg, clips_per_class=32).clips
+        start = m.frozen_prefix()
+        beyond = {}
+        for n in (8, 64):
+            out = []
+            peak = traced_peak(lambda: out.append(
+                _forward_only(lambda c: m.encode_prefix(c, start), clips[:n])))
+            beyond[n] = peak - 2 * out[0].nbytes
+        assert beyond[64] <= 1.2 * beyond[8], beyond
+
+    def test_prefix_tokens_bitwise_equal_at_every_chunk_size(self, monkeypatch):
+        m = self.late_model()
+        clips = tiny_data(m.cfg, clips_per_class=21).clips
+        start = m.frozen_prefix()
+        tokens = {}
+        for chunk in (1, 3, 8, 32):
+            monkeypatch.setattr(training, "_EVAL_CHUNK", chunk)
+            tokens[chunk] = _forward_only(lambda c: m.encode_prefix(c, start), clips)
+        for chunk in (1, 3, 32):
+            np.testing.assert_array_equal(tokens[chunk], tokens[8], err_msg=f"chunk {chunk}")
