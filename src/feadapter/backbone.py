@@ -144,10 +144,16 @@ class VideoViT:
         return T.reshape(out, (b, t, s, hidden))
 
     def _block(self, x: Tensor, i: int) -> Tensor:
+        """Block ``i`` over (batch, frames, N+1, hidden) tokens. The head
+        reads only the class tokens of the last block, so that block
+        returns them alone, (batch, frames, hidden): it drops the patch
+        rows once nothing reads them, before its MLP unless an
+        ``after_mlp`` adapter's conv still needs the full grid."""
         cfg = self.cfg
         p, pre = self.params, f"blocks.{i}."
         # parameter_layout gives a block adapter weights iff it carries one
         hook = cfg.adapter.position if pre + "adapter.down.weight" in p else None
+        last = i == cfg.depth - 1
         if hook == "before_mhsa":
             x = self._run_adapter(x, i)
         h = T.layer_norm(x, p[pre + "ln1.gamma"], p[pre + "ln1.beta"])
@@ -159,6 +165,8 @@ class VideoViT:
                      cfg.heads)
         if hook == "after_mhsa":
             x = self._run_adapter(x, i)
+        if last and hook != "after_mlp":
+            x = x[:, :, 0, :]
         h = T.layer_norm(x, p[pre + "ln2.gamma"], p[pre + "ln2.beta"])
         # rebind h first: the ln2 output is then freed before GELU allocates
         h = T.matmul(h, p[pre + "mlp.fc1.weight"], p[pre + "mlp.fc1.bias"])
@@ -166,6 +174,8 @@ class VideoViT:
         x = x + T.matmul(h, p[pre + "mlp.fc2.weight"], p[pre + "mlp.fc2.bias"])
         if hook == "after_mlp":
             x = self._run_adapter(x, i)
+            if last:
+                x = x[:, :, 0, :]
         return x
 
     def frozen_prefix(self) -> int | None:
@@ -182,7 +192,10 @@ class VideoViT:
     def encode_prefix(self, clips, stop: int) -> Tensor:
         """The tokens entering block ``stop`` (0 <= stop <= depth): the
         embedded clips run through blocks 0..stop-1,
-        (batch, frames, N+1, hidden)."""
+        (batch, frames, N+1, hidden), or the class tokens alone,
+        (batch, frames, hidden), when ``stop`` is the depth."""
+        if not 0 <= stop <= self.cfg.depth:
+            raise UsageError(f"stop block {stop} outside [0, {self.cfg.depth}]")
         clips = np.asarray(clips, dtype=self.dtype)
         clips = self._check_clips(clips)
         p = self.params
@@ -198,20 +211,22 @@ class VideoViT:
         ``start`` given, ``clips`` is instead the batch of tokens that
         ``encode_prefix(clips, start)`` returns, and only the blocks
         from ``start`` on run."""
+        cfg = self.cfg
         if start is None:
             x, start = self.encode_prefix(clips, 0), 0
         else:
+            if not 0 <= start <= cfg.depth:
+                raise UsageError(f"start block {start} outside [0, {cfg.depth}]")
             x = Tensor(clips)
-            cfg = self.cfg
-            expected = (cfg.frames, cfg.tokens_per_frame, cfg.hidden)
-            if x.data.ndim != 4 or x.shape[1:] != expected:
+            expected = (cfg.frames, cfg.hidden) if start == cfg.depth else \
+                (cfg.frames, cfg.tokens_per_frame, cfg.hidden)
+            if x.shape[1:] != expected:
                 raise ShapeError(
                     f"prefix tokens {x.shape} do not match expected (batch,)+{expected}")
-        for i in range(start, self.cfg.depth):
+        for i in range(start, cfg.depth):
             x = self._block(x, i)
         p = self.params
-        cls = x[:, :, 0, :]                      # (batch, frames, hidden)
-        pooled = temporal_average_pool(cls)
+        pooled = temporal_average_pool(x)        # x: class tokens, (batch, frames, hidden)
         return T.layer_norm(pooled, p["final_norm.gamma"], p["final_norm.beta"])
 
     def forward(self, clips, start: int | None = None) -> Tensor:

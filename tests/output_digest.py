@@ -10,8 +10,10 @@ the last lines. At the tiny geometry of ``configs/desk.cfg`` narrowed
 down, it hashes:
 
 - 16 AdamW training steps (each loss and, at the end, every weight);
-- one ``train()`` of the late-third position cell (its records and
-  weights);
+- one ``train()`` each (its records and weights) of the late-third
+  position cell, the ``after_mhsa`` and ``after_mlp`` local-position
+  cells and the ``linear_probe`` cell, so every point at which the last
+  block drops its patch rows is trained through;
 - a save, ``load_checkpoint`` and ``evaluate_model`` (the logits and
   the confusion matrix);
 - the float64 ``gradcheck_model`` errors, as ``float.hex``.
@@ -87,20 +89,25 @@ def _train_steps(h, exp, steps: int) -> None:
     _weights(h, model)
 
 
-def _late_cell(exp):
-    """The global_position late-third cell of ``exp``, 10 clips a class."""
+def _cell(exp, kind: str, label: str):
+    """The ``kind`` sweep's ``label`` cell of ``exp``, 10 clips a class."""
     from feadapter.cli import sweep_cells
     from feadapter.config import config_echo, experiment_from_values
     values = config_echo(exp)
-    values.update(sweep_cells("global_position", exp)[2][1])
+    values.update(dict(sweep_cells(kind, exp))[label])
     values.update({"train.epochs": 4, "train.eval_every": 2, "data.clips_per_class": 10})
     return experiment_from_values(values)
 
 
-def _train_cell(h, exp) -> None:
-    """A whole ``train()`` of the global_position late-third cell."""
+def _late_cell(exp):
+    """The global_position late-third cell of ``exp``."""
+    from feadapter.cli import sweep_cells
+    return _cell(exp, "global_position", sweep_cells("global_position", exp)[2][0])
+
+
+def _train_cell(h, cell) -> None:
+    """A whole ``train()`` of ``cell``."""
     import feadapter as fa
-    cell = _late_cell(exp)
     model = fa.VideoViT(cell.model, seed=cell.train.seed)
     result = fa.train(model, _dataset(cell), cell.train)
     h.update(repr((result.records, result.best_epoch)).encode())
@@ -167,12 +174,16 @@ def output_digest(seed: int) -> dict[str, str]:
                    "model.classes": 3, "data.clips_per_class": 1}
     parts = {
         "train_steps": lambda h: _train_steps(h, tiny, STEPS),
-        "train_cell": lambda h: _train_cell(h, tiny),
+        "train_cell": lambda h: _train_cell(h, _late_cell(tiny)),
         "eval_checkpoint": lambda h: _eval_checkpoint(h, tiny),
         "gradcheck": lambda h: _gradcheck(h, _experiment(seed, gc_geometry)),
         "desk_step": lambda h: _train_steps(h, desk, 1),
         "desk_eval_chunk": lambda h: _eval_checkpoint(h, desk, clips=32),
         "forward_only": lambda h: _forward_only_passes(h, desk),
+        "after_mhsa_cell": lambda h: _train_cell(
+            h, _cell(tiny, "local_position", "after_mhsa")),
+        "after_mlp_cell": lambda h: _train_cell(h, _cell(tiny, "local_position", "after_mlp")),
+        "linear_probe": lambda h: _train_cell(h, _cell(tiny, "temporal_conv", "linear_probe")),
     }
     out = {}
     for name, run in parts.items():

@@ -1,6 +1,8 @@
 """Backbone contracts: tokenization, attention, pooling, whole-model
 forward against a plain-numpy reference, and adapter hook behavior."""
 
+import copy
+import dataclasses
 import hashlib
 import itertools
 import weakref
@@ -13,8 +15,9 @@ from feadapter import (Tensor, VideoViT, embed_tokens, mhsa, patchify_clips,
 from feadapter import tensor as T
 from feadapter.config import AdapterConfig, ModelConfig, parameter_layout
 from feadapter.errors import ConfigError, ShapeError, UsageError
+from feadapter.training import apply_freeze
 
-from helpers import attention_oracle, reference_forward
+from helpers import attention_oracle, reference_forward, vjp_arrays
 
 
 def desk_cfg(**kw):
@@ -246,9 +249,11 @@ class TestInvariants:
         m = VideoViT(cfg, seed=0)
         x = Tensor(np.random.default_rng(14).normal(
             size=(2, cfg.frames, cfg.tokens_per_frame, cfg.hidden)).astype(np.float32))
-        for i in range(cfg.depth):
+        for i in range(cfg.depth - 1):
             x = m._block(x, i)
             assert x.shape == (2, cfg.frames, cfg.tokens_per_frame, cfg.hidden)
+        # the last block returns only the class tokens the head reads
+        assert m._block(x, cfg.depth - 1).shape == (2, cfg.frames, cfg.hidden)
 
     @pytest.mark.parametrize("variant", ["vanilla", "dw_conv3d", "d2_conv3d"])
     @pytest.mark.parametrize("position", ["before_mhsa", "after_mhsa", "after_mlp"])
@@ -310,6 +315,119 @@ class TestForwardOnlyMemory:
         with T.no_grad():
             m.forward(clips)
         assert dead == [True] * m.cfg.depth
+
+
+def _untrimmed_logits(m, clips):
+    """The logits with a last block that keeps every token: ``m``'s
+    blocks run as if one more followed them, then the class tokens are
+    sliced out, pooled, normed and classified."""
+    deeper = copy.copy(m)
+    deeper.cfg = dataclasses.replace(m.cfg, depth=m.cfg.depth + 1)
+    x = deeper.encode_prefix(clips, m.cfg.depth)
+    p = m.params
+    pooled = temporal_average_pool(x[:, :, 0, :])
+    feats = T.layer_norm(pooled, p["final_norm.gamma"], p["final_norm.beta"])
+    return T.matmul(feats, p["head.weight"], p["head.bias"])
+
+
+class TestClassTokenTail:
+    """The last block returns only the class tokens the head reads. It
+    drops the patch rows after its attention (or its ``after_mhsa``
+    adapter), so its MLP runs one row per frame; an ``after_mlp``
+    adapter's conv needs the whole grid, so that block drops them at
+    its end."""
+
+    @staticmethod
+    def model(variant, position, dtype, frames, mode="adapter", blocks=None):
+        cfg = desk_cfg(frames=frames, adapter=AdapterConfig(
+            variant=variant, r=4, position=position, blocks=blocks))
+        m = VideoViT(cfg, seed=7, dtype=dtype)
+        apply_freeze(m, mode)
+        rng = np.random.default_rng(8)
+        for t in m.params.values():
+            if t.requires_grad:
+                t.data = t.data + rng.normal(0.0, 0.1, size=t.shape).astype(dtype)
+        return m
+
+    @staticmethod
+    def trimmed_and_untrimmed(m, clips):
+        """(logits, trainable gradients) of ``m`` and of its untrimmed
+        oracle on ``clips`` random clips."""
+        rng = np.random.default_rng(9)
+        cfg = m.cfg
+        x = rng.normal(size=(clips, cfg.frames, 3, cfg.height, cfg.width)).astype(m.dtype)
+        labels = np.arange(clips) % cfg.classes
+        out = []
+        for forward in (m.forward, lambda c: _untrimmed_logits(m, c)):
+            m.zero_grad()
+            logits = forward(x)
+            T.cross_entropy(logits, labels).backward()
+            out.append((logits.data, {n: t.grad for n, t in m.params.items() if t.requires_grad}))
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", ["vanilla", "dw_conv3d", "d2_conv3d"])
+    @pytest.mark.parametrize("position", ["before_mhsa", "after_mhsa", "after_mlp"])
+    def test_bitwise_equal_to_an_untrimmed_last_block(self, position, variant, dtype):
+        # blocks (1,) leaves the last of the two blocks without an adapter
+        for frames, clips, blocks in itertools.product((2, 4), (1, 2, 3), (None, (1,))):
+            m = self.model(variant, position, dtype, frames, blocks=blocks)
+            (logits, grads), (want, want_grads) = self.trimmed_and_untrimmed(m, clips)
+            np.testing.assert_array_equal(logits, want)
+            assert grads.keys() == want_grads.keys()
+            for name, g in grads.items():
+                np.testing.assert_array_equal(g, want_grads[name], err_msg=name)
+
+    @pytest.mark.parametrize("position", ["before_mhsa", "after_mhsa", "after_mlp"])
+    def test_full_tuning_sums_the_last_mlp_weight_gradients_in_another_order(self, position):
+        # a last-block fc weight's gradient sums one outer product per
+        # frame: trimmed, a clip's frames are contracted in one GEMM;
+        # untrimmed, each frame's product is summed over the clips and
+        # frames afterwards, so those two may differ in the last bit. An
+        # after_mlp block runs its MLP on every token, so it sums as before
+        m = self.model("d2_conv3d", position, np.float64, 4, mode="full")
+        (logits, grads), (want, want_grads) = self.trimmed_and_untrimmed(m, 3)
+        np.testing.assert_array_equal(logits, want)
+        reordered = set() if position == "after_mlp" else {
+            f"blocks.1.mlp.{fc}.weight" for fc in ("fc1", "fc2")}
+        for name, g in grads.items():
+            if name in reordered:
+                np.testing.assert_allclose(g, want_grads[name], rtol=1e-12, atol=1e-15)
+            else:
+                np.testing.assert_array_equal(g, want_grads[name], err_msg=name)
+
+    @pytest.mark.parametrize("position", ["before_mhsa", "after_mhsa", "after_mlp"])
+    def test_one_frame_close_to_an_untrimmed_last_block(self, position):
+        # with one frame each tail GEMM has a single row, which numpy
+        # computes on its matrix-vector path, so the last bit may differ
+        # from row 0 of the untrimmed block's 5-row GEMM
+        m = self.model("d2_conv3d", position, np.float32, 1)
+        (logits, grads), (want, want_grads) = self.trimmed_and_untrimmed(m, 3)
+        np.testing.assert_allclose(logits, want, rtol=1e-5, atol=1e-6)
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, want_grads[name], rtol=1e-4, atol=1e-6, err_msg=name)
+
+    @pytest.mark.parametrize("variant, position, blocks", [
+        ("vanilla", "after_mhsa", (1,)), ("vanilla", "before_mhsa", None),
+        ("d2_conv3d", "after_mhsa", None)])
+    def test_mlp_graph_holds_no_patch_rows(self, variant, position, blocks):
+        # the arrays kept by the VJPs of the last block's ln2 and of
+        # every op after it: none has the N+1 token axis
+        m = self.model(variant, position, np.float32, 4, blocks=blocks)
+        cfg, i = m.cfg, m.cfg.depth - 1
+        gamma = m.params[f"blocks.{i}.ln2.gamma"]
+        gamma.requires_grad = True  # so that ln2's node can be found by its parent
+        x = Tensor(np.random.default_rng(10).normal(
+            size=(2, cfg.frames, cfg.tokens_per_frame, cfg.hidden)).astype(np.float32),
+            requires_grad=True)
+        after, held = set(), []
+        for node in T.trace_graph(m._block(x, i)):
+            if any(p in after or getattr(p, "leaf", None) is gamma for p in node._parents):
+                after.add(node)
+                held += vjp_arrays(node._vjp).values()
+        shapes = [a.shape for a in held if a is not gamma.data]
+        assert (2, cfg.frames, 4 * cfg.hidden) in shapes  # the GELU derivative
+        assert all(cfg.tokens_per_frame not in shape for shape in shapes), shapes
 
 
 class TestParameterInventory:

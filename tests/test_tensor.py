@@ -856,8 +856,9 @@ class TestSavedArrays:
         loss = T.cross_entropy(model.forward(data.clips), data.labels)
         # sizes follow from the shapes alone; GELU VJPs that keep the
         # input and the CDF, and conv VJPs that keep the kT*kH-fold
-        # resampled input, held 273796 bytes here
-        assert graph_bytes(loss, model.params.values()) <= 196612
+        # resampled input, held 273796 bytes here, and a last block whose
+        # MLP ran over every token 196612
+        assert graph_bytes(loss, model.params.values()) <= 175876
 
 
 def _gelu_grad_from_input_and_cdf(xd, g):

@@ -447,6 +447,34 @@ class TestFrozenPrefixCache:
         with pytest.raises(ShapeError):
             m.forward(np.zeros((2, 4, 6, 32), dtype=np.float32), 2)
 
+    @pytest.mark.parametrize("block", [-1, 4])
+    def test_block_outside_the_model_rejected(self, block):
+        m = self.late_model()
+        with pytest.raises(UsageError, match=r"outside \[0, 3\]"):
+            m.encode_prefix(tiny_data(m.cfg).clips[:2], block)
+        with pytest.raises(UsageError, match=r"outside \[0, 3\]"):
+            m.forward(np.zeros((2, 4, 5, 32), dtype=np.float32), block)
+
+    def test_head_only_cache_holds_class_tokens(self):
+        # with only the head training, the cache is the last block's
+        # output: the class tokens alone, one row per frame
+        m = VideoViT(tiny_cfg(depth=3), seed=10)
+        apply_freeze(m, "linear_probe")
+        start = m.frozen_prefix()
+        data = tiny_data(m.cfg)
+        cache = _forward_only(lambda c: m.encode_prefix(c, start), data.clips)
+        assert start == m.cfg.depth and cache.shape == (len(data), m.cfg.frames, m.cfg.hidden)
+        outs = []
+        for logits in (m.forward(cache, start), m.forward(data.clips)):
+            m.zero_grad()
+            T.cross_entropy(logits, data.labels).backward()
+            outs.append((logits.data, m.params["head.weight"].grad, m.params["head.bias"].grad))
+        for cached, direct in zip(*outs):
+            np.testing.assert_array_equal(cached, direct)
+        tokens = np.zeros((2, m.cfg.frames, m.cfg.tokens_per_frame, m.cfg.hidden), np.float32)
+        with pytest.raises(ShapeError, match=r"expected \(batch,\)\+\(4, 32\)"):
+            m.forward(tokens, start)
+
 
 class TestForwardOnlyChunks:
     """``_forward_only`` runs ``_EVAL_CHUNK`` clips at a time, so its
