@@ -12,8 +12,9 @@ closure (VJP), and a tracked leaf holds one cached node that receives
 dtypes and the operands' ``requires_grad`` flags as they were at
 forward time; it never holds a ``Tensor``. So an array that no VJP
 reads (the input of a frozen projection, a residual sum) is freed as
-soon as the forward drops its tensor. The graph is single-owner: build
-it, call ``backward`` once, drop it.
+soon as the forward drops its tensor. The graph is single-owner, and
+the backward consumes it: each VJP runs once and is dropped with the
+arrays it kept, so the backward frees the graph as it walks it.
 
 ``matmul(a, b, bias)`` adds the bias in place to the fresh product:
 one node and one array where ``matmul(a, b) + bias`` makes two, with
@@ -185,27 +186,15 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
-    def __neg__(self):
-        return neg(self)
-
     def __add__(self, other):
         return add(self, other)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -593,7 +582,8 @@ def gelu(x) -> Tensor:
     deriv *= xd
     deriv += cdf
     cdf *= xd
-    # a second backward over the same graph reads deriv again
+    # the VJP reads deriv and never writes into it, as no VJP writes
+    # into what it keeps
     return _result(cdf, (x,), lambda g: (deriv * g,), "gelu")
 
 
@@ -794,7 +784,9 @@ def depthwise_conv3d(x, kernel, dilation=(1.0, 1.0, 1.0)) -> Tensor:
 def trace_graph(root: Tensor) -> list[_Node]:
     """The graph nodes reachable from ``root``'s node through
     gradient-tracked edges, in topological order (parents before
-    consumers). Leaves are the nodes whose ``_vjp`` is None."""
+    consumers). Leaves are the nodes whose ``_vjp`` is None; after a
+    backward the op nodes are still traced, with ``_spent`` as their
+    ``_vjp``."""
     order: list[_Node] = []
     visited: set[_Node] = set()
     stack: list[tuple[_Node, bool]] = [(_node_of(root), False)]
@@ -813,9 +805,20 @@ def trace_graph(root: Tensor) -> list[_Node]:
     return order
 
 
+def _spent(g):
+    """The VJP of a node whose backward has run; its saved arrays are gone."""
+    raise UsageError("this graph's backward already ran; its saved arrays are freed")
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar loss into every gradient-tracked
-    leaf reachable from it. Traverses exact reverse topological order."""
+    leaf reachable from it. Traverses exact reverse topological order.
+
+    The backward consumes the graph: each op node's VJP is swapped for
+    ``_spent`` once it has run, and the loop drops its own references
+    before the next VJP runs, so a saved array dies as soon as its one
+    reader is done. Leaf nodes stay as they are. A second backward over
+    a spent graph raises ``UsageError`` before any ``.grad`` changes."""
     if not isinstance(loss, Tensor):
         raise UsageError("backward expects a Tensor loss")
     if loss.data.size != 1:
@@ -823,6 +826,9 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise UsageError("loss does not require gradients; nothing to differentiate")
     order = trace_graph(loss)
+    if any(node._vjp is _spent for node in order):
+        raise UsageError("this graph's backward already ran; run a new forward to "
+                         "differentiate again")
     grads: dict[_Node, np.ndarray] = {order[-1]: np.ones_like(loss.data)}
     for node in reversed(order):
         g = grads.pop(node, None)
@@ -832,7 +838,8 @@ def backward(loss: Tensor) -> None:
             leaf = node.leaf
             leaf.grad = g if leaf.grad is None else leaf.grad + g
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        vjp, node._vjp = node._vjp, _spent
+        for parent, pg in zip(node._parents, vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             _guard_finite(pg, "backward")
@@ -840,6 +847,8 @@ def backward(loss: Tensor) -> None:
                 pg = pg.reshape(parent.shape)
             held = grads.get(parent)
             grads[parent] = pg if held is None else held + pg
+        # hold nothing of this node into the next VJP
+        vjp = g = pg = held = None
 
 
 def finite_difference_gradient(f, params: Tensor, eps: float = 1e-5) -> Tensor:

@@ -189,8 +189,6 @@ def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
                 opt.step(lr)
                 opt.zero_grad()
                 loss_sum += float(loss.data) * len(idx)
-                # the step's graph would otherwise live on through the eval
-                del logits, loss
             epoch_loss = loss_sum / total
             record = {"epoch": epoch, "lr": lr, "loss": epoch_loss, "uar": None, "war": None}
             stop = False

@@ -19,8 +19,11 @@ down, it hashes:
 - the float64 ``gradcheck_model`` errors, as ``float.hex``.
 
 It also runs one training step and one 32-clip forward at desk size,
-so that arrays above the engine's slice-checking threshold are hashed,
-and the chunked forward-only loop (``training._forward_only``) over
+so that arrays above the engine's slice-checking threshold are hashed.
+At desk size it hashes, too, the raw ``.grad`` of every tensor after
+that step's forward and backward, before AdamW reads them, so a change
+to the backward is checked on the gradients themselves, and the
+chunked forward-only loop (``training._forward_only``) over
 desk traffic: the logits over the 160 desk clips, and the late-third
 cell's 40 clips as ``train()`` sees them, prefix tokens and logits.
 The parts print one per line, then the whole digest. BLAS results may
@@ -69,6 +72,11 @@ def _weights(h, model) -> None:
         h.update(np.ascontiguousarray(t.data).tobytes())
 
 
+def _batch_rng(exp):
+    """The seeded stream that draws the training batches."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([exp.train.seed, 0xD16])))
+
+
 def _train_steps(h, exp, steps: int) -> None:
     """``steps`` forward/backward/AdamW steps on seeded batches."""
     import feadapter as fa
@@ -78,7 +86,7 @@ def _train_steps(h, exp, steps: int) -> None:
     plan = fa.apply_freeze(model, "adapter")
     opt = fa.AdamW({n: model.params[n] for n in plan.trainable},
                    exp.train.lr, exp.train.weight_decay)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([exp.train.seed, 0xD16])))
+    rng = _batch_rng(exp)
     for _ in range(steps):
         idx = rng.choice(len(data), exp.train.batch, replace=False)
         loss = T.cross_entropy(model.forward(data.clips[idx]), data.labels[idx])
@@ -87,6 +95,23 @@ def _train_steps(h, exp, steps: int) -> None:
         opt.zero_grad()
         h.update(np.asarray(loss.data).tobytes())
     _weights(h, model)
+
+
+def _desk_grads(h, exp) -> None:
+    """Every ``.grad`` after the forward and backward of
+    ``_train_steps``'s first batch, by sorted name."""
+    import feadapter as fa
+    from feadapter import tensor as T
+    data = _dataset(exp)
+    model = fa.VideoViT(exp.model, seed=exp.train.seed)
+    fa.apply_freeze(model, "adapter")
+    idx = _batch_rng(exp).choice(len(data), exp.train.batch, replace=False)
+    T.cross_entropy(model.forward(data.clips[idx]), data.labels[idx]).backward()
+    for name in sorted(model.params):
+        grad = model.params[name].grad
+        if grad is not None:
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(grad).tobytes())
 
 
 def _cell(exp, kind: str, label: str):
@@ -178,6 +203,7 @@ def output_digest(seed: int) -> dict[str, str]:
         "eval_checkpoint": lambda h: _eval_checkpoint(h, tiny),
         "gradcheck": lambda h: _gradcheck(h, _experiment(seed, gc_geometry)),
         "desk_step": lambda h: _train_steps(h, desk, 1),
+        "desk_grads": lambda h: _desk_grads(h, desk),
         "desk_eval_chunk": lambda h: _eval_checkpoint(h, desk, clips=32),
         "forward_only": lambda h: _forward_only_passes(h, desk),
         "after_mhsa_cell": lambda h: _train_cell(

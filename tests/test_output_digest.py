@@ -8,7 +8,7 @@ from output_digest import main, output_digest
 def test_digest_repeats_in_one_process():
     first = output_digest(seed=1)
     assert set(first) == {"train_steps", "train_cell", "eval_checkpoint", "gradcheck",
-                          "desk_step", "desk_eval_chunk", "forward_only", "after_mhsa_cell",
+                          "desk_step", "desk_grads", "desk_eval_chunk", "forward_only", "after_mhsa_cell",
                           "after_mlp_cell", "linear_probe", "all"}
     assert output_digest(seed=1) == first
 
@@ -16,4 +16,4 @@ def test_digest_repeats_in_one_process():
 def test_script_prints_every_part(capsys):
     assert main(["--seed", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines][-1] == "all" and len(lines) == 11
+    assert [line.split()[0] for line in lines][-1] == "all" and len(lines) == 12

@@ -14,8 +14,8 @@ from feadapter import tensor as T
 from feadapter.errors import ConfigError, NonFiniteError, ShapeError, UsageError
 from feadapter.tensor import trace_graph
 
-from helpers import (conv3d_oracle, gelu_oracle, grads_close, graph_bytes, softmax_oracle,
-                     traced_peak, vjp_arrays, vjp_cells, weighted_scalar)
+from helpers import (conv3d_oracle, gelu_oracle, grads_close, graph_arrays, graph_bytes,
+                     softmax_oracle, traced_peak, vjp_arrays, vjp_cells, weighted_scalar)
 
 
 class TestMatmul:
@@ -611,8 +611,8 @@ def _tracked_ops(rng, tracked=True):
     x, y, z, w, c = leaf(2, 3, 4), leaf(4), leaf(4), leaf(4, 5), leaf(5)
     grid, kern, rates = leaf(2, 2, 3, 4, 4), leaf(2, 3, 3, 3), leaf(2, 3, low=1.0)
     return {
-        "add": lambda: x + y, "sub": lambda: x - y, "mul": lambda: x * y,
-        "neg": lambda: -x, "matmul": lambda: T.matmul(x, w),
+        "add": lambda: x + y, "sub": lambda: T.sub(x, y), "mul": lambda: x * y,
+        "neg": lambda: T.neg(x), "matmul": lambda: T.matmul(x, w),
         "matmul_bias": lambda: T.matmul(x, w, c),
         "reshape": lambda: T.reshape(x, (6, 4)), "transpose": lambda: T.transpose(x, (2, 0, 1)),
         "getitem": lambda: x[:, 1], "broadcast_to": lambda: T.broadcast_to(y, (3, 4)),
@@ -831,17 +831,25 @@ class TestSavedArrays:
         assert held["u"].size == kt * x.data.size
         assert max(arr.size for arr in held.values()) < kt * kh * x.data.size
 
-    def test_second_backward_doubles_the_gradients(self):
+    def test_second_backward_over_a_spent_graph_raises(self):
         rng = np.random.default_rng(51)
         x = Tensor(rng.normal(size=(2, 2, 3, 4, 4)), dtype=np.float64, requires_grad=True)
         kern = Tensor(rng.normal(size=(2, 3, 3, 3)), dtype=np.float64, requires_grad=True)
         rates = Tensor(1.0 + rng.random((2, 3)), dtype=np.float64, requires_grad=True)
         loss = weighted_scalar(T.gelu(depthwise_conv3d(x, kern, rates)))
         loss.backward()
-        once = [t.grad.copy() for t in (x, kern, rates)]
-        loss.backward()
-        for t, g in zip((x, kern, rates), once):
-            np.testing.assert_array_equal(t.grad, g + g)
+        once = [t.grad.tobytes() for t in (x, kern, rates)]
+        with pytest.raises(UsageError, match="backward already ran"):
+            loss.backward()
+        assert [t.grad.tobytes() for t in (x, kern, rates)] == once
+
+    @pytest.mark.parametrize("op", ["gelu", "depthwise_conv3d", "layer_norm"])
+    def test_vjp_called_twice_gives_the_same_bits(self, op):
+        # no VJP writes into what it keeps
+        out = _tracked_ops(np.random.default_rng(52))[op]()
+        g = np.random.default_rng(53).normal(size=out.shape)
+        first, second = out._vjp(g), out._vjp(g)
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in second]
 
     def test_d2_model_graph_bytes(self):
         from feadapter import VideoViT, synth_dataset
@@ -859,6 +867,59 @@ class TestSavedArrays:
         # resampled input, held 273796 bytes here, and a last block whose
         # MLP ran over every token 196612
         assert graph_bytes(loss, model.params.values()) <= 175876
+
+    def test_backward_leaves_the_graph_holding_no_array(self):
+        model, loss = _tiny_d2_loss()
+        loss.backward()
+        # the caller still holds loss, and through it every node
+        assert graph_arrays(loss, model.params.values()) == []
+
+    def test_last_block_arrays_dead_before_block_0_backward(self):
+        blocks = {}
+        model, loss = _tiny_d2_loss(blocks)
+        params = {id(t.data) for t in model.params.values()}
+        refs = [weakref.ref(arr) for node in blocks[model.cfg.depth - 1]
+                for arr in vjp_arrays(node._vjp).values() if id(arr) not in params]
+        alive = []
+
+        def reached(vjp):
+            def first_call(g):
+                if not alive:
+                    alive.append(sum(ref() is not None for ref in refs))
+                return vjp(g)
+            return first_call
+
+        for node in blocks[0]:
+            node._vjp = reached(node._vjp)
+        loss.backward()
+        assert refs and alive == [0]
+
+
+def _tiny_d2_loss(block_nodes=None):
+    """The d2_conv3d model of ``test_d2_model_graph_bytes`` in adapter
+    mode and its loss on 4 clips. With ``block_nodes`` given, the op
+    nodes that block ``i`` creates are stored in ``block_nodes[i]``."""
+    from feadapter import VideoViT, synth_dataset
+    from feadapter.config import AdapterConfig, ModelConfig
+    from feadapter.training import apply_freeze
+
+    cfg = ModelConfig(frames=4, height=16, width=16, patch=8, hidden=16, depth=3,
+                      heads=4, classes=2, adapter=AdapterConfig(variant="d2_conv3d", r=2))
+    model = VideoViT(cfg, seed=0)
+    apply_freeze(model, "adapter")
+    if block_nodes is not None:
+        run_block = model._block
+
+        def block(x, i):
+            seen = set(trace_graph(x))
+            out = run_block(x, i)
+            block_nodes[i] = [node for node in trace_graph(out)
+                              if node not in seen and node._vjp is not None]
+            return out
+
+        model._block = block
+    data = synth_dataset(0, 2, 2, 4, 16, 16)
+    return model, T.cross_entropy(model.forward(data.clips), data.labels)
 
 
 def _gelu_grad_from_input_and_cdf(xd, g):
