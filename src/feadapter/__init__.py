@@ -3,11 +3,11 @@ bottleneck adapters, built on a small self-contained autodiff engine."""
 
 from .adapter import AdapterWeights, apply_adapter, dilation_rates, grid_to_tokens, tokens_to_grid
 from .backbone import VideoViT, embed_tokens, mhsa, patchify_clips, temporal_average_pool
-from .checkpoint import load_checkpoint, load_named_tensors, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (AdapterConfig, ExperimentConfig, ModelConfig, TrainConfig,
                      count_tunable_params, derive_bottleneck_width, load_experiment_config,
                      parameter_layout)
-from .data import VideoBatch, motion_pairs, synth_dataset
+from .data import VideoBatch, synth_dataset
 from .gradcheck import gradcheck_model
 from .metrics import MetricsReport, uar_war
 from .tensor import Tensor, backward, depthwise_conv3d, finite_difference_gradient
@@ -23,7 +23,7 @@ __all__ = [
     "count_tunable_params", "depthwise_conv3d", "derive_bottleneck_width",
     "dilation_rates", "embed_tokens", "evaluate_model",
     "finite_difference_gradient", "frozen_digest", "gradcheck_model", "grid_to_tokens",
-    "load_checkpoint", "load_experiment_config", "load_named_tensors", "mhsa",
-    "motion_pairs", "parameter_layout", "patchify_clips", "save_checkpoint", "synth_dataset",
+    "load_checkpoint", "load_experiment_config", "mhsa", "parameter_layout",
+    "patchify_clips", "save_checkpoint", "synth_dataset",
     "temporal_average_pool", "tokens_to_grid", "train", "uar_war",
 ]

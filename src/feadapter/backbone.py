@@ -41,12 +41,6 @@ def embed_tokens(patches, proj_w, proj_b, cls_token, pos_embed) -> Tensor:
     return T.concat([cls, tok], axis=-2) + pos_embed
 
 
-def _swap_last(t: Tensor) -> Tensor:
-    perm = list(range(t.data.ndim))
-    perm[-1], perm[-2] = perm[-2], perm[-1]
-    return T.transpose(t, perm)
-
-
 def mhsa(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
     """Multi-head scaled dot-product self-attention over the second-to-
     last axis, with output projection. Works for any leading shape."""
@@ -64,7 +58,7 @@ def mhsa(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
     q = split(T.matmul(x, wq, bq))
     k = split(T.matmul(x, wk, bk))
     v = split(T.matmul(x, wv, bv))
-    att = T.softmax_lastdim(T.matmul(q, _swap_last(k)) * scale)
+    att = T.softmax_lastdim(T.matmul(q, T.moveaxis(k, -1, -2)) * scale)
     ctx = T.matmul(att, v)                       # (..., heads, s, dh)
     ctx = T.reshape(T.moveaxis(ctx, -3, -2), (*lead, s, hidden))
     return T.matmul(ctx, wo, bo)

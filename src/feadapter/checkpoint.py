@@ -22,19 +22,12 @@ import struct
 import numpy as np
 
 from .backbone import VideoViT
-from .config import (ExperimentConfig, TrainConfig, _is_int, config_echo,
-                     experiment_from_values)
+from .config import ExperimentConfig, _is_int, experiment_from_values
 from .errors import CheckpointError, ConfigError
 
 MAGIC = b"FEADCKPT"
 VERSION = 1
 WIRE_DTYPES = ("<f4", "<f8")
-
-
-def _default_echo(model: VideoViT) -> dict:
-    freeze = "adapter" if model.cfg.adapter.active(model.cfg.depth) else "linear_probe"
-    exp = ExperimentConfig(model=model.cfg, train=TrainConfig(freeze=freeze))
-    return config_echo(exp)
 
 
 @contextlib.contextmanager
@@ -53,8 +46,9 @@ def atomic_write(path: str, mode: str = "w"):
         raise
 
 
-def save_checkpoint(model: VideoViT, path: str, echo: dict | None = None) -> None:
-    """Write every model tensor bit-exactly, with its freeze flag."""
+def save_checkpoint(model: VideoViT, path: str, echo: dict) -> None:
+    """Write every model tensor bit-exactly, with its freeze flag, under
+    ``echo``, the config echo of the experiment that trained it."""
     wire_dtype = "<f8" if model.dtype == np.float64 else "<f4"
     entries = []
     blobs = []
@@ -74,7 +68,7 @@ def save_checkpoint(model: VideoViT, path: str, echo: dict | None = None) -> Non
         offset += len(blob)
     header = {
         "seed": model.seed,
-        "config": echo if echo is not None else _default_echo(model),
+        "config": echo,
         "tensors": entries,
     }
     head = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -154,17 +148,24 @@ def _header_problem(header: dict) -> str | None:
     return None
 
 
-def _copy_tensors(model: VideoViT, path: str, header: dict, payload: memoryview,
-                  wanted) -> list[dict]:
-    """Copy every stored tensor whose name ``wanted`` accepts from
-    ``payload`` into ``model``, checking its byte count, that it lies in
-    the payload, that the model has it with the same shape and that its
-    values are finite. Returns the copied directory entries."""
-    copied = []
+def load_experiment(path: str) -> tuple[VideoViT, ExperimentConfig]:
+    """Rebuild the model the checkpoint describes, restore every tensor
+    and freeze flag bit-exactly, and return it with the experiment its
+    config echo describes. Each stored tensor is checked in turn: the
+    model has it, its byte count fits its shape, it lies in the payload,
+    its shape is the model's and its values are finite."""
+    header, payload = _read(path)
+    try:
+        exp = experiment_from_values(header["config"])
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: bad config echo ({exc})") from exc
+    dtype = np.float64 if any(e["dtype"] == "<f8" for e in header["tensors"]) else np.float32
+    model = VideoViT(exp.model, seed=header.get("seed", 0), dtype=dtype)
+    missing = set(model.params) - {e["name"] for e in header["tensors"]}
+    if missing:
+        raise CheckpointError(f"{path}: missing tensors for this config: {sorted(missing)[0]!r}")
     for entry in header["tensors"]:
         name, lo, n, shape = entry["name"], entry["offset"], entry["nbytes"], entry["shape"]
-        if not wanted(name):
-            continue
         if name not in model.params:
             raise CheckpointError(f"{path}: tensor {name!r} does not exist in the target model")
         expected = math.prod(shape) * np.dtype(entry["dtype"]).itemsize
@@ -182,38 +183,10 @@ def _copy_tensors(model: VideoViT, path: str, header: dict, payload: memoryview,
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         dst.data = arr.astype(model.dtype, copy=True)
-        copied.append(entry)
-    return copied
-
-
-def load_experiment(path: str) -> tuple[VideoViT, ExperimentConfig]:
-    """Rebuild the model the checkpoint describes, restore every tensor
-    and freeze flag bit-exactly, and return it with the experiment its
-    config echo describes."""
-    header, payload = _read(path)
-    try:
-        exp = experiment_from_values(header["config"])
-    except ConfigError as exc:
-        raise CheckpointError(f"{path}: bad config echo ({exc})") from exc
-    dtype = np.float64 if any(e["dtype"] == "<f8" for e in header["tensors"]) else np.float32
-    model = VideoViT(exp.model, seed=header.get("seed", 0), dtype=dtype)
-    missing = set(model.params) - {e["name"] for e in header["tensors"]}
-    if missing:
-        raise CheckpointError(f"{path}: missing tensors for this config: {sorted(missing)[0]!r}")
-    for entry in _copy_tensors(model, path, header, payload, lambda name: True):
-        model.params[entry["name"]].requires_grad = entry["trainable"]
+        dst.requires_grad = entry["trainable"]
     return model, exp
 
 
 def load_checkpoint(path: str) -> VideoViT:
     """``load_experiment``'s model alone."""
     return load_experiment(path)[0]
-
-
-def load_named_tensors(model: VideoViT, path: str, predicate) -> list[str]:
-    """Copy only the stored tensors whose names satisfy ``predicate``
-    into an existing model (partial load, e.g. backbone-only weights
-    from an externally trained image model). Returns the loaded names;
-    everything else is left untouched."""
-    header, payload = _read(path)
-    return [entry["name"] for entry in _copy_tensors(model, path, header, payload, predicate)]

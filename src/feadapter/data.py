@@ -37,11 +37,6 @@ class VideoBatch:
         return len(self.labels)
 
 
-def motion_pairs(classes: int) -> list[tuple[int, int]]:
-    """Class pairs separable only by motion direction."""
-    return [(c, c + 1) for c in range(0, classes - 1, 2)]
-
-
 def _render_orbit(phase: float, direction: int, color, frames: int,
                   height: int, width: int) -> np.ndarray:
     radius = 0.28 * min(height, width)

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import reprlib
 from typing import Callable, Sequence
 
 import numpy as np
@@ -142,8 +143,7 @@ class Tensor:
     """Dense n-dimensional float array with optional gradient tracking.
 
     A tracked op result or a tracked leaf that has been used holds its
-    graph node; ``_parents`` and ``_vjp`` read (and ``_vjp`` writes)
-    through it."""
+    graph node; ``_vjp`` reads and writes through it."""
 
     __slots__ = ("data", "requires_grad", "grad", "_node")
 
@@ -158,10 +158,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._node: _Node | None = None
-
-    @property
-    def _parents(self) -> tuple:
-        return () if self._node is None else self._node._parents
 
     @property
     def _vjp(self) -> Callable | None:
@@ -400,25 +396,25 @@ def _is_basic(key) -> bool:
 
 
 def getitem(a, key) -> Tensor:
+    """``a[key]`` for a basic key only (``_is_basic``). Any other key
+    can repeat an index, whose gradient the VJP's ``buf[key] += g``
+    would drop, so it is a ``UsageError``."""
     a = _as_tensor(a)
-    data = a.data[key]
-    if np.isscalar(data) or data.ndim == 0:
-        data = np.asarray(data, dtype=a.data.dtype)
+    if not _is_basic(key):
+        raise UsageError(
+            f"getitem takes ints, slices, Ellipsis and None only, not {reprlib.repr(key)}")
+    data = np.array(a.data[key], copy=True)  # 0-d, not a scalar, for an all-int key
     if not _tracks(a):
-        return _result(np.array(data, copy=True), (), None, "getitem")
+        return _result(data, (), None, "getitem")
     shape, dtype = a.data.shape, a.data.dtype
 
     def vjp(g):
+        # adding (not assigning) into zeros keeps +0.0 where g holds -0.0
         buf = np.zeros(shape, dtype)
-        if _is_basic(key):
-            # each element is selected once; adding (not assigning) keeps
-            # np.add.at's +0.0 where g holds -0.0
-            buf[key] += g
-        else:
-            np.add.at(buf, key, g)  # an advanced key can repeat an index
+        buf[key] += g
         return (buf,)
 
-    return _result(np.array(data, copy=True), (a,), vjp, "getitem")
+    return _result(data, (a,), vjp, "getitem")
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:

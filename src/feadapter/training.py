@@ -27,7 +27,6 @@ _EVAL_CHUNK = 8
 
 @dataclass(frozen=True)
 class FreezePlan:
-    mode: str
     trainable: tuple[str, ...]
 
 
@@ -42,7 +41,7 @@ def apply_freeze(model: VideoViT, mode: str) -> FreezePlan:
         model.params[spec.name].requires_grad = flag
         if flag:
             trainable.append(spec.name)
-    return FreezePlan(mode=mode, trainable=tuple(trainable))
+    return FreezePlan(trainable=tuple(trainable))
 
 
 def frozen_digest(model: VideoViT) -> str:

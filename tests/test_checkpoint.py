@@ -1,5 +1,5 @@
-"""Checkpoint format: bit-exact roundtrips, corruption handling,
-partial loads by tensor name, and one read per load."""
+"""Checkpoint format: bit-exact roundtrips, corruption handling, a
+header that does not fit its tensors, and one read per load."""
 
 import builtins
 import os
@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feadapter import (VideoViT, apply_freeze, load_checkpoint, load_named_tensors,
-                       save_checkpoint)
+from feadapter import VideoViT, apply_freeze, load_checkpoint, save_checkpoint
 from feadapter.checkpoint import MAGIC, load_experiment
-from feadapter.config import AdapterConfig, ModelConfig
+from feadapter.config import (AdapterConfig, ExperimentConfig, ModelConfig, TrainConfig,
+                              config_echo)
 from feadapter.errors import CheckpointError
 
 from helpers import checkpoint_header, rewrite_checkpoint_header
@@ -36,12 +36,19 @@ def randomized_model(seed=0, dtype=np.float32, **kw):
     return m
 
 
+def save(model, path, freeze="adapter"):
+    """``save_checkpoint`` under the config echo of an experiment that
+    trains ``model`` in freeze mode ``freeze``."""
+    exp = ExperimentConfig(model=model.cfg, train=TrainConfig(freeze=freeze))
+    save_checkpoint(model, str(path), echo=config_echo(exp))
+
+
 class TestRoundtrip:
     def test_every_tensor_and_flag_bitwise(self, tmp_path):
         m = randomized_model()
         apply_freeze(m, "adapter")
         path = str(tmp_path / "ck.bin")
-        save_checkpoint(m, path)
+        save(m, path)
         again = load_checkpoint(path)
         assert set(again.params) == set(m.params)
         for name, t in m.params.items():
@@ -51,7 +58,7 @@ class TestRoundtrip:
     def test_float64_roundtrip_bitwise(self, tmp_path):
         m = randomized_model(dtype=np.float64)
         path = str(tmp_path / "ck64.bin")
-        save_checkpoint(m, path)
+        save(m, path)
         again = load_checkpoint(path)
         assert again.dtype == np.float64
         for name, t in m.params.items():
@@ -60,7 +67,7 @@ class TestRoundtrip:
     def test_header_echo_matches_model_config(self, tmp_path):
         m = randomized_model()
         path = tmp_path / "ck.bin"
-        save_checkpoint(m, str(path))
+        save(m, path)
         header, _ = checkpoint_header(path)
         assert header["config"]["model.hidden"] == 32
         assert header["config"]["adapter.variant"] == "d2_conv3d"
@@ -70,7 +77,7 @@ class TestRoundtrip:
     def test_loaded_model_evaluates_identically(self, tmp_path):
         m = randomized_model(seed=3)
         path = str(tmp_path / "ck.bin")
-        save_checkpoint(m, path)
+        save(m, path)
         again = load_checkpoint(path)
         clips = np.random.default_rng(30).normal(size=(2, 4, 3, 16, 16)).astype(np.float32)
         np.testing.assert_array_equal(m.forward(clips).data, again.forward(clips).data)
@@ -86,7 +93,7 @@ class TestCorruption:
     def test_version_mismatch(self, tmp_path):
         m = randomized_model()
         path = tmp_path / "ck.bin"
-        save_checkpoint(m, str(path))
+        save(m, path)
         blob = bytearray(path.read_bytes())
         blob[len(MAGIC):len(MAGIC) + 4] = struct.pack("<I", 99)
         path.write_bytes(bytes(blob))
@@ -96,7 +103,7 @@ class TestCorruption:
     def test_truncated_payload_names_tensor(self, tmp_path):
         m = randomized_model()
         path = tmp_path / "ck.bin"
-        save_checkpoint(m, str(path))
+        save(m, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
@@ -107,7 +114,7 @@ class TestCorruption:
         # still decodes as JSON
         m = randomized_model()
         path = tmp_path / "ck.bin"
-        save_checkpoint(m, str(path))
+        save(m, path)
         blob = bytearray(path.read_bytes())
         blob[blob.index(b'"tensors"') + 1] ^= ord("t") ^ ord("u")
         path.write_bytes(bytes(blob))
@@ -122,7 +129,7 @@ class TestCorruption:
     def test_misshapen_header_is_a_named_error(self, tmp_path, field, value):
         m = randomized_model()
         path = tmp_path / "ck.bin"
-        save_checkpoint(m, str(path))
+        save(m, path)
 
         def edit(header):
             if field in ("config", "seed", "tensors"):
@@ -132,21 +139,19 @@ class TestCorruption:
             else:
                 header["tensors"][0][field] = value
         rewrite_checkpoint_header(path, edit)
-        for load in (load_checkpoint, lambda p: load_named_tensors(m, p, lambda name: True)):
-            with pytest.raises(CheckpointError, match="corrupt header"):
-                load(str(path))
+        with pytest.raises(CheckpointError, match="corrupt header"):
+            load_checkpoint(str(path))
 
     def test_tensor_listed_twice_is_a_named_error(self, tmp_path):
         # before the check, both loaders copied each entry in turn and the
         # last copy of a name silently won
         m = randomized_model()
         path = tmp_path / "ck.bin"
-        save_checkpoint(m, str(path))
+        save(m, path)
         rewrite_checkpoint_header(path, lambda h: h["tensors"].append(dict(h["tensors"][0])))
         name = sorted(m.params)[0]
-        for load in (load_checkpoint, lambda p: load_named_tensors(m, p, lambda name: True)):
-            with pytest.raises(CheckpointError, match=f"tensor '{name}' listed twice"):
-                load(str(path))
+        with pytest.raises(CheckpointError, match=f"tensor '{name}' listed twice"):
+            load_checkpoint(str(path))
 
     @pytest.mark.parametrize("key,value", [
         ("model.hidden", "x"), ("model.hidden", [1]), ("model.hidden", None),
@@ -155,7 +160,7 @@ class TestCorruption:
     def test_wrong_typed_config_echo_is_a_named_error(self, tmp_path, key, value):
         m = randomized_model()
         path = tmp_path / "ck.bin"
-        save_checkpoint(m, str(path))
+        save(m, path)
         rewrite_checkpoint_header(path, lambda h: h["config"].__setitem__(key, value))
         with pytest.raises(CheckpointError, match=f"bad config echo .*'{key}'"):
             load_checkpoint(str(path))
@@ -164,11 +169,10 @@ class TestCorruption:
     def test_byte_count_not_matching_shape_is_a_named_error(self, tmp_path, nbytes):
         m = randomized_model()
         path = tmp_path / "ck.bin"
-        save_checkpoint(m, str(path))
+        save(m, path)
         rewrite_checkpoint_header(path, lambda h: h["tensors"][0].__setitem__("nbytes", nbytes))
-        for load in (load_checkpoint, lambda p: load_named_tensors(m, p, lambda name: True)):
-            with pytest.raises(CheckpointError, match=f"has {nbytes} bytes"):
-                load(str(path))
+        with pytest.raises(CheckpointError, match=f"has {nbytes} bytes"):
+            load_checkpoint(str(path))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_is_a_named_error(self, tmp_path, value):
@@ -176,7 +180,7 @@ class TestCorruption:
         # it raised NonFiniteError under its own name
         m = randomized_model()
         path = tmp_path / "ck.bin"
-        save_checkpoint(m, str(path))
+        save(m, path)
         name = "blocks.1.adapter.down.weight"
         header, payload_start = checkpoint_header(path)
         entry = next(e for e in header["tensors"] if e["name"] == name)
@@ -184,44 +188,32 @@ class TestCorruption:
         at = payload_start + entry["offset"] + 4 * 5
         blob[at:at + 4] = struct.pack("<f", value)
         path.write_bytes(bytes(blob))
-        for load in (load_checkpoint, lambda p: load_named_tensors(m, p, lambda name: True)):
-            with pytest.raises(CheckpointError,
-                               match=f"ck.bin: tensor '{name}' holds non-finite values"):
-                load(str(path))
+        with pytest.raises(CheckpointError,
+                           match=f"ck.bin: tensor '{name}' holds non-finite values"):
+            load_checkpoint(str(path))
 
     def test_load_into_mismatched_config_names_tensor(self, tmp_path):
         m = randomized_model()
-        path = str(tmp_path / "ck.bin")
-        save_checkpoint(m, path)
-        other = VideoViT(cfg(hidden=64, heads=4), seed=0)
-        with pytest.raises(CheckpointError, match="shape"):
-            load_named_tensors(other, path, lambda name: True)
+        path = tmp_path / "ck.bin"
+        save(m, path)
+        rewrite_checkpoint_header(path, lambda h: h["config"].__setitem__("model.hidden", 64))
+        with pytest.raises(CheckpointError, match=r"tensor '[\w.]+' shape \(.*\) does not match"):
+            load_checkpoint(str(path))
 
+    def test_unknown_tensor_rejected(self, tmp_path):
+        # without the freeze edit the echo itself is invalid: adapter mode
+        # needs an adapter
+        m = randomized_model()
+        path = tmp_path / "ck.bin"
+        save(m, path)
 
-class TestPartialLoad:
-    def test_backbone_only_load_leaves_adapters_at_identity(self, tmp_path):
-        donor = randomized_model(seed=1)
-        path = str(tmp_path / "donor.bin")
-        save_checkpoint(donor, path)
-        target = VideoViT(cfg(), seed=2)
-        loaded = load_named_tensors(target, path,
-                                    lambda name: ".adapter." not in name and
-                                    not name.startswith("head."))
-        assert loaded
-        # backbone tensors now match the donor, adapters stay fresh
-        np.testing.assert_array_equal(target.params["patch_embed.weight"].data,
-                                      donor.params["patch_embed.weight"].data)
-        for name, t in target.params.items():
-            if name.endswith("adapter.up.weight"):
-                assert not t.data.any(), f"{name} no longer identity-initialized"
-
-    def test_partial_load_unknown_tensor_rejected(self, tmp_path):
-        donor = randomized_model(seed=1)
-        path = str(tmp_path / "donor.bin")
-        save_checkpoint(donor, path)
-        plain = VideoViT(cfg(adapter=AdapterConfig(variant="none")), seed=0)
-        with pytest.raises(CheckpointError, match="adapter"):
-            load_named_tensors(plain, path, lambda name: True)
+        def edit(header):
+            header["config"]["adapter.variant"] = "none"
+            header["config"]["train.freeze"] = "linear_probe"
+        rewrite_checkpoint_header(path, edit)
+        with pytest.raises(CheckpointError,
+                           match=r"tensor 'blocks\.0\.adapter\..*' does not exist in the target model"):
+            load_checkpoint(str(path))
 
 
 class TestOneRead:
@@ -234,8 +226,8 @@ class TestOneRead:
         apply_freeze(first, "adapter")
         apply_freeze(second, "linear_probe")
         path, other = str(tmp_path / "ck.bin"), str(tmp_path / "other.bin")
-        save_checkpoint(first, path)
-        save_checkpoint(second, other)
+        save(first, path)
+        save(second, other, freeze="linear_probe")
         real_open, opens = builtins.open, []
 
         def racing_open(file, *args, **kwargs):
@@ -263,7 +255,7 @@ def _small_checkpoint() -> bytes:
     apply_freeze(m, "adapter")
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "ck.bin")
-        save_checkpoint(m, path)
+        save(m, path)
         with open(path, "rb") as fh:
             return fh.read()
 
@@ -276,18 +268,16 @@ SMALL_HEADER_END = len(MAGIC) + 8 + struct.unpack("<I", SMALL[len(MAGIC) + 4:len
 @given(st.lists(st.tuples(st.integers(0, SMALL_HEADER_END - 1), st.integers(1, 255)),
                 min_size=1, max_size=3))
 def test_header_byte_flips_load_or_raise_checkpoint_error(flips):
-    """Whatever bytes of the preamble and header are flipped, both
-    loaders either load or raise CheckpointError, never anything else."""
+    """Whatever bytes of the preamble and header are flipped, the loader
+    either loads or raises CheckpointError, never anything else."""
     blob = bytearray(SMALL)
     for pos, mask in flips:
         blob[pos] ^= mask
-    target = VideoViT(SMALL_CFG, seed=1)
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "ck.bin")
         with open(path, "wb") as fh:
             fh.write(bytes(blob))
-        for load in (load_checkpoint, lambda p: load_named_tensors(target, p, lambda n: True)):
-            try:
-                load(path)
-            except CheckpointError:
-                pass
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from feadapter import (VideoBatch, VideoViT, apply_freeze, cosine_lr, evaluate_model,
-                       frozen_digest, motion_pairs, synth_dataset, train, uar_war)
+                       frozen_digest, synth_dataset, train, uar_war)
 from feadapter import tensor as T
 from feadapter import training
 from feadapter.config import AdapterConfig, ModelConfig, TrainConfig
@@ -269,11 +269,6 @@ class TestSynthDataset:
             cw = d.clips[j]
             ccw = d.clips[4 + j]
             np.testing.assert_array_equal(ccw, cw[reverse])
-
-    def test_pairs_helper(self):
-        assert motion_pairs(4) == [(0, 1), (2, 3)]
-        assert motion_pairs(5) == [(0, 1), (2, 3)]
-        assert motion_pairs(2) == [(0, 1)]
 
     def test_appearances_differ_across_pairs(self):
         d = synth_dataset(1, 4, 2, 4, 16, 16)
