@@ -16,24 +16,12 @@ from .backbone import VideoViT
 from .checkpoint import atomic_write, load_experiment, save_checkpoint
 from .config import (ExperimentConfig, config_echo, count_tunable_params,
                      experiment_from_values, load_experiment_config, with_overrides)
-from .data import synth_dataset
 from .errors import (CheckpointError, ConfigError, NonFiniteError,
                      TrainingDiverged, UsageError)
 from .gradcheck import gradcheck_model, randomize_trainable
-from .training import apply_freeze, evaluate_model, frozen_digest, train
+from .training import apply_freeze, evaluate_model, experiment_data, frozen_digest, run_experiment
 
 SWEEP_KINDS = ("temporal_conv", "global_position", "local_position")
-
-
-def _dataset_for(exp: ExperimentConfig):
-    m = exp.model
-    return synth_dataset(exp.train.seed, m.classes, exp.clips_per_class,
-                         m.frames, m.height, m.width, exp.noise)
-
-
-def _build_model(exp: ExperimentConfig, f64: bool) -> VideoViT:
-    return VideoViT(exp.model, seed=exp.train.seed,
-                    dtype=np.float64 if f64 else np.float32)
 
 
 def _make_out_dir(path: str) -> None:
@@ -51,25 +39,20 @@ def _make_out_dir(path: str) -> None:
 def cmd_train(args) -> int:
     exp = with_overrides(load_experiment_config(args.config), args.seed, args.out)
     _make_out_dir(exp.out_dir)
-    model = _build_model(exp, args.f64)
-    data = _dataset_for(exp)
-    result = train(model, data, exp.train,
-                   log_path=os.path.join(exp.out_dir, "metrics.jsonl"), echo=True)
-    save_checkpoint(model, os.path.join(exp.out_dir, "checkpoint.bin"), echo=config_echo(exp))
-    counts = count_tunable_params(exp.model, exp.train.freeze)
+    run = run_experiment(exp, args.f64, os.path.join(exp.out_dir, "metrics.jsonl"))
+    save_checkpoint(run.model, os.path.join(exp.out_dir, "checkpoint.bin"), echo=config_echo(exp))
+    r, counts = run.result.report, run.counts
     with atomic_write(os.path.join(exp.out_dir, "params.json")) as fh:
         json.dump(dataclasses.asdict(counts), fh, indent=2, sort_keys=True)
-    r = result.report
-    print(f"done: best epoch {result.best_epoch}  UAR {r.uar:.4f}  WAR {r.war:.4f}  "
+    print(f"done: best epoch {run.result.best_epoch}  UAR {r.uar:.4f}  WAR {r.war:.4f}  "
           f"tunable {counts.trainable:,}/{counts.total:,} ({counts.ratio:.2%})  "
-          f"wall {result.wall_clock_s:.1f}s")
+          f"wall {run.result.wall_clock_s:.1f}s")
     return 0
 
 
 def cmd_eval(args) -> int:
     model, exp = load_experiment(args.checkpoint)
-    data = _dataset_for(exp)
-    m = evaluate_model(model, data)
+    m = evaluate_model(model, experiment_data(exp))
     print(f"UAR {m.uar:.4f}  WAR {m.war:.4f}")
     for c, r in enumerate(m.per_class_recall):
         print(f"  class {c}: recall {'n/a' if r is None else f'{r:.4f}'}")
@@ -121,19 +104,16 @@ def sweep_cells(kind: str, exp: ExperimentConfig) -> list[tuple[str, dict]]:
 
 def _run_sweep_cell(payload) -> dict:
     kind, label, values, f64 = payload
-    exp = experiment_from_values(values)
-    model = _build_model(exp, f64)
-    data = _dataset_for(exp)
-    r = train(model, data, exp.train).report
-    counts = count_tunable_params(exp.model, exp.train.freeze)
+    run = run_experiment(experiment_from_values(values), f64)
+    r = run.result.report
     return {
         "kind": kind,
         "cell": label,
         "uar": r.uar,
         "war": r.war,
-        "trainable_params": counts.trainable,
-        "total_params": counts.total,
-        "backbone_sha256": frozen_digest(model),
+        "trainable_params": run.counts.trainable,
+        "total_params": run.counts.total,
+        "backbone_sha256": frozen_digest(run.model),
     }
 
 
@@ -202,7 +182,7 @@ def cmd_gradcheck(args) -> int:
     if not args.tolerance >= 0:  # also rejects nan, which no error would pass
         raise UsageError(f"--tolerance must be a non-negative number, got {args.tolerance}")
     exp = with_overrides(load_experiment_config(args.config), args.seed, None)
-    data = _dataset_for(exp)
+    data = experiment_data(exp)
     if args.samples > len(data.labels):
         raise UsageError(
             f"--samples {args.samples} exceeds the {len(data.labels)} clips in the dataset")

@@ -353,7 +353,8 @@ def _int_or_auto(value) -> int | str:
 def _blocks(value) -> tuple[range, ...] | None:
     """'all' (None), or comma-separated 1-based indices and lo-hi ranges.
     Each index or range stays a ``range`` until ``experiment_from_values``
-    has checked it against the depth, so a huge range is never expanded."""
+    has checked it against the depth, so a huge range is never expanded.
+    None or a tuple of ranges, this parser's own output, passes through."""
     if isinstance(value, str):
         if value.strip().lower() == "all":
             return None
@@ -367,11 +368,10 @@ def _blocks(value) -> tuple[range, ...] | None:
         if not out:
             raise ValueError("names no blocks")
         return tuple(out)
-    if value is None:
-        return None
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"not a block list: {value!r}")
-    return tuple(b if isinstance(b, range) else range(_int(b), _int(b) + 1) for b in value)
+    if value is None or (isinstance(value, tuple)
+                         and all(isinstance(b, range) for b in value)):
+        return value
+    raise TypeError(f"not a block list: {value!r}")
 
 
 def _expand_blocks(ranges: tuple[range, ...], depth: int) -> tuple[int, ...]:

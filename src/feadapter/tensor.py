@@ -171,16 +171,8 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def backward(self) -> None:
         backward(self)
-
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
     def __add__(self, other):
         return add(self, other)

@@ -1,4 +1,4 @@
-"""Freeze plans, AdamW with cosine annealing, and the training loop."""
+"""Freeze plans, AdamW, the training loop, and the one owner of a run."""
 
 from __future__ import annotations
 
@@ -13,8 +13,9 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import VideoViT
-from .config import TrainConfig, check_freeze, group_is_trainable
-from .data import VideoBatch
+from .config import (ExperimentConfig, ParamCount, TrainConfig, check_freeze,
+                     count_tunable_params, group_is_trainable)
+from .data import VideoBatch, synth_dataset
 from .errors import NonFiniteError, TrainingDiverged, UsageError
 from .metrics import MetricsReport, uar_war
 from .tensor import Tensor
@@ -141,14 +142,15 @@ def evaluate_model(model: VideoViT, data: VideoBatch, start: int | None = None) 
 
 
 def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
-          log_path: str | None = None, echo: bool = False, on_eval=None) -> TrainResult:
+          log_path: str | None = None, on_eval=None) -> TrainResult:
     """Cross-entropy training with per-epoch cosine annealing.
 
     Shuffling, and therefore the whole run, is fixed by the seed. Eval
     metrics are recorded on the training set every ``eval_every``
     epochs and at the end; the first best-WAR state is restored into the
     model before returning. ``on_eval(epoch, report)`` may return True
-    to stop early. Emits one record per epoch as JSON lines.
+    to stop early. With ``log_path`` given, each epoch's record is
+    written there and to stdout as one JSON line.
     """
     plan = apply_freeze(model, tcfg.freeze)
     trainables = {name: model.params[name] for name in plan.trainable}
@@ -200,11 +202,10 @@ def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
                 if on_eval is not None and on_eval(epoch, m):
                     stop = True
             records.append(record)
-            line = json.dumps(record)
             if log_fh:
-                log_fh.write(line + "\n")
-            if echo:
-                sys.stdout.write(line + "\n")
+                line = json.dumps(record) + "\n"
+                log_fh.write(line)
+                sys.stdout.write(line)
             if stop:
                 break
     finally:
@@ -215,3 +216,29 @@ def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
         model.params[name].data = arr
     return TrainResult(report=best, records=records, best_epoch=best_epoch,
                        wall_clock_s=time.perf_counter() - started)
+
+
+# ---------------------------------------------------------------------------
+# a run
+# ---------------------------------------------------------------------------
+
+def experiment_data(exp: ExperimentConfig) -> VideoBatch:
+    """The seeded clips an experiment trains and evaluates on."""
+    m = exp.model
+    return synth_dataset(exp.train.seed, m.classes, exp.clips_per_class,
+                         m.frames, m.height, m.width, exp.noise)
+
+
+@dataclass
+class Run:
+    model: VideoViT     # holding the best eval's weights
+    result: TrainResult
+    counts: ParamCount
+
+
+def run_experiment(exp: ExperimentConfig, f64: bool = False, log_path: str | None = None) -> Run:
+    """Build ``exp``'s model (float64 with ``f64``), train it on
+    ``experiment_data(exp)`` and count its tunable parameters."""
+    model = VideoViT(exp.model, seed=exp.train.seed, dtype=np.float64 if f64 else np.float32)
+    result = train(model, experiment_data(exp), exp.train, log_path=log_path)
+    return Run(model, result, count_tunable_params(exp.model, exp.train.freeze))

@@ -16,7 +16,13 @@ down, it hashes:
   block drops its patch rows is trained through;
 - a save, ``load_checkpoint`` and ``evaluate_model`` (the logits and
   the confusion matrix);
-- the float64 ``gradcheck_model`` errors, as ``float.hex``.
+- the float64 ``gradcheck_model`` errors, as ``float.hex``;
+- the ``cli`` part: ``feadapter train``, ``eval`` and ``sweep --kind
+  temporal_conv`` through ``cli.main``, cut to 2 epochs, in a temporary
+  directory: what they print (the ``done:`` line without its wall
+  time), ``metrics.jsonl``, ``params.json``, the sweep rows and the
+  checkpoint's tensors as ``load_experiment`` reads them back (the raw
+  file holds the temporary ``out.dir``).
 
 It also runs one training step and one 32-clip forward at desk size,
 so that arrays above the engine's slice-checking threshold are hashed.
@@ -34,7 +40,9 @@ from one machine only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -191,6 +199,34 @@ def _gradcheck(h, exp) -> None:
     h.update(repr(sorted((g, e.hex()) for g, e in errors.items())).encode())
 
 
+def _cli_runs(h, exp) -> None:
+    """``train``, ``eval`` and the temporal_conv sweep on ``exp``, 2 epochs."""
+    from feadapter.checkpoint import load_experiment
+    from feadapter.cli import main
+    from feadapter.config import config_echo
+    with tempfile.TemporaryDirectory() as d:
+        values = {**config_echo(exp), "train.epochs": 2, "out.dir": d}
+        config = os.path.join(d, "run.cfg")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key} = {value}\n" for key, value in values.items())
+        commands = [["train", "--config", config],
+                    ["eval", "--checkpoint", os.path.join(d, "checkpoint.bin")],
+                    ["sweep", "--kind", "temporal_conv", "--config", config]]
+        for argv in commands:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0, argv
+            text = out.getvalue()
+            if argv[0] == "train":  # drop the done: line's wall time
+                text = text[:text.rindex("  wall ")]
+            h.update(text.encode())
+        for name in ("metrics.jsonl", "params.json", "sweep_temporal_conv.jsonl"):
+            with open(os.path.join(d, name), "rb") as fh:
+                h.update(fh.read())
+        model, _ = load_experiment(os.path.join(d, "checkpoint.bin"))
+        _weights(h, model)
+
+
 def output_digest(seed: int) -> dict[str, str]:
     """Each part's SHA-256 at ``seed``, then ``all``, the digest over them."""
     tiny = _experiment(seed, TINY)
@@ -210,6 +246,7 @@ def output_digest(seed: int) -> dict[str, str]:
             h, _cell(tiny, "local_position", "after_mhsa")),
         "after_mlp_cell": lambda h: _train_cell(h, _cell(tiny, "local_position", "after_mlp")),
         "linear_probe": lambda h: _train_cell(h, _cell(tiny, "temporal_conv", "linear_probe")),
+        "cli": lambda h: _cli_runs(h, tiny),
     }
     out = {}
     for name, run in parts.items():

@@ -13,6 +13,7 @@ import pytest
 import feadapter.checkpoint
 import feadapter.cli
 import feadapter.tensor
+import feadapter.training
 from feadapter import VideoViT, count_tunable_params, load_experiment_config, save_checkpoint
 from feadapter.checkpoint import MAGIC
 from feadapter.cli import main, sweep_cells
@@ -60,10 +61,12 @@ class TestTrainCommand:
 
     def test_params_json_and_done_line_match_count_params(self, tiny_config, tmp_path, capsys):
         assert main(["train", "--config", str(tiny_config)]) == 0
-        done = capsys.readouterr().out.splitlines()[-1]
+        *records, done = capsys.readouterr().out.splitlines()
         assert main(["count-params", "--config", str(tiny_config), "--json"]) == 0
         counts = json.loads(capsys.readouterr().out)
         assert json.loads((tmp_path / "run" / "params.json").read_text()) == counts
+        # each epoch's record is printed as it is logged
+        assert records == (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
         assert done.startswith("done:")
         assert (f"tunable {counts['trainable']:,}/{counts['total']:,} ({counts['ratio']:.2%})"
                 in done)
@@ -474,5 +477,5 @@ def test_gradcheck_samples_cover_every_class(tmp_path, monkeypatch):
     assert main(["gradcheck", "--config", str(cfg), "--samples", "3"]) == 0
     [(clips, labels)] = seen
     assert labels.tolist() == [0, 1, 2]
-    data = feadapter.cli._dataset_for(load_experiment_config(str(cfg)))
+    data = feadapter.training.experiment_data(load_experiment_config(str(cfg)))
     np.testing.assert_array_equal(clips, data.clips[[0, 3, 6]].astype(np.float64))

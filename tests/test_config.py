@@ -133,7 +133,7 @@ class TestEcho:
     @pytest.mark.parametrize("key,value", [
         ("model.hidden", "x"), ("model.hidden", [1]), ("model.hidden", None),
         ("model.hidden", 32.0), ("adapter.kernel", "a"), ("adapter.blocks", 3),
-        ("train.lr", True), ("out.dir", 7),
+        ("adapter.blocks", [1, 2]), ("train.lr", True), ("out.dir", 7),
     ])
     def test_wrong_typed_echo_value_names_key(self, key, value):
         echo = config_echo(experiment_from_values(parse_config_text(VALID)))

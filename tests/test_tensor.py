@@ -611,6 +611,12 @@ class TestDeterminismAndGuards:
         with pytest.raises(NonFiniteError):
             Tensor([np.nan, 1.0])
 
+    def test_non_float_input_becomes_float32(self):
+        # VideoViT.encode(tokens, start) wraps the caller's array as is
+        t = Tensor(np.array([[1, -2], [3, 4]], dtype=np.int64))
+        assert t.data.dtype == np.float32
+        np.testing.assert_array_equal(t.data, [[1.0, -2.0], [3.0, 4.0]])
+
 
 def _tracked_ops(rng, tracked=True):
     """Ops applied to gradient-tracked float64 inputs, including the conv
