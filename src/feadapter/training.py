@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import math
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +22,12 @@ from .errors import NonFiniteError, TrainingDiverged, UsageError
 from .metrics import MetricsReport, uar_war
 from .tensor import Tensor
 
-# clips per forward-only chunk (desk's train.batch); a larger chunk holds
-# more memory at its peak and was no faster (README, "Engine: what the
-# graph keeps")
-_EVAL_CHUNK = 8
+# clips per forward-only chunk, and chunks in flight at once: two 4-clip
+# chunks hold about what one 8-clip chunk held, and the GIL is released
+# in the native code (erf, GEMMs) that takes most of a forward (README,
+# "Engine: what the graph keeps")
+_EVAL_CHUNK = 4
+_EVAL_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -122,15 +126,25 @@ class TrainResult:
 
 def _forward_only(fn, inputs: np.ndarray) -> np.ndarray:
     """``fn`` over ``inputs`` in chunks of ``_EVAL_CHUNK`` rows under
-    ``no_grad``, outputs concatenated: the one forward-only loop, shared
-    by evaluation and the frozen-prefix cache. The model is per clip up
-    to the head, so the chunk sets the working memory, not the result:
-    its peak is a chunk's MLP hidden activations. The 2-d rate and
-    classifier heads may round a row differently in a chunk of another
-    row count, so outputs are reproducible for a given ``inputs``."""
-    with T.no_grad():
-        return np.concatenate([fn(inputs[lo:lo + _EVAL_CHUNK]).data
-                               for lo in range(0, len(inputs), _EVAL_CHUNK)])
+    ``no_grad``, ``_EVAL_WORKERS`` chunks at a time on this call's own
+    thread pool, outputs concatenated in chunk order: the one
+    forward-only loop, shared by evaluation and the frozen-prefix cache.
+    The model is per clip up to the head, so the chunk sets the working
+    memory, not the result: its peak is the MLP hidden activations of
+    the chunks in flight. The 2-d rate and classifier heads may round a
+    row differently in a chunk of another row count, so outputs are
+    reproducible for a given ``inputs``.
+
+    A failing chunk raises the error of the first failing chunk in
+    order, as a serial loop would; the chunks not yet started are
+    cancelled, and the pool's threads end before grad mode is restored.
+    Each chunk runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds in the workers too."""
+    chunks = [inputs[lo:lo + _EVAL_CHUNK] for lo in range(0, len(inputs), _EVAL_CHUNK)]
+    caller = contextvars.copy_context()
+    with T.no_grad(), ThreadPoolExecutor(_EVAL_WORKERS) as pool:
+        return np.concatenate([out.data for out in pool.map(
+            lambda chunk: caller.copy().run(fn, chunk), chunks)])
 
 
 def evaluate_model(model: VideoViT, data: VideoBatch, start: int | None = None) -> MetricsReport:
@@ -165,8 +179,13 @@ def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
     # block when only the head trains). With the embedding trainable
     # there is no frozen prefix and the forwards start from the clips.
     start = model.frozen_prefix()
-    inputs = data if start is None else VideoBatch(
-        _forward_only(lambda c: model.encode_prefix(c, start), data.clips), data.labels)
+    inputs = data
+    if start is not None:
+        try:
+            tokens = _forward_only(lambda c: model.encode_prefix(c, start), data.clips)
+        except NonFiniteError as exc:
+            raise TrainingDiverged(f"non-finite value in the frozen-prefix cache: {exc}") from exc
+        inputs = VideoBatch(tokens, data.labels)
 
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     records: list = []
@@ -194,7 +213,10 @@ def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
             record = {"epoch": epoch, "lr": lr, "loss": epoch_loss, "uar": None, "war": None}
             stop = False
             if (epoch + 1) % tcfg.eval_every == 0 or epoch == tcfg.epochs - 1:
-                m = evaluate_model(model, inputs, start)
+                try:
+                    m = evaluate_model(model, inputs, start)
+                except NonFiniteError as exc:
+                    raise TrainingDiverged(f"non-finite eval at epoch {epoch}: {exc}") from exc
                 record["uar"], record["war"] = m.uar, m.war
                 if best is None or m.war > best.war:
                     best, best_epoch = m, epoch

@@ -5,7 +5,8 @@
 
 ``DIR`` is a ``src/`` directory holding the ``feadapter`` package (by
 default this checkout's); the configs and the benchmark are those of
-the tree that holds it. With a line tracer (``sys.settrace``) over the
+the tree that holds it. With a line tracer (``sys.settrace``, and
+``threading.settrace`` for the threads the program starts) over the
 package, it runs in one process:
 
 - ``feadapter train``, ``eval`` and all three ``sweep`` kinds on
@@ -42,6 +43,7 @@ import re  # noqa: E402
 import runpy  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import threading  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DESK_CUT = {"train.epochs": 2, "data.clips_per_class": 4, "train.eval_every": 1}
@@ -68,7 +70,9 @@ def statements(path: str) -> dict[int, tuple[int, int]]:
 
 
 class LineTracer:
-    """The lines run in every file under one directory."""
+    """The lines run in every file under one directory, in the calling
+    thread and in every thread started while it is installed (the
+    forward-only loop's workers)."""
 
     def __init__(self, directory: str):
         self.prefix = os.path.join(os.path.abspath(directory), "")
@@ -87,11 +91,13 @@ class LineTracer:
         return local
 
     def __enter__(self):
+        threading.settrace(self._global)
         sys.settrace(self._global)
         return self
 
     def __exit__(self, *exc):
         sys.settrace(None)
+        threading.settrace(None)
 
 
 def cut_config(src: str, dst: str, values: dict) -> str:
