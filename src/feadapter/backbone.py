@@ -183,6 +183,12 @@ class VideoViT:
             return None
         return min(starts, default=self.cfg.depth)
 
+    def _embed(self, clips: np.ndarray) -> Tensor:
+        p = self.params
+        patches = patchify_clips(clips, self.cfg.patch)
+        return embed_tokens(Tensor(patches), p["patch_embed.weight"], p["patch_embed.bias"],
+                            p["cls_token"], p["pos_embed"])
+
     def encode_prefix(self, clips, stop: int) -> Tensor:
         """The tokens entering block ``stop`` (0 <= stop <= depth): the
         embedded clips run through blocks 0..stop-1,
@@ -190,37 +196,58 @@ class VideoViT:
         (batch, frames, hidden), when ``stop`` is the depth."""
         if not 0 <= stop <= self.cfg.depth:
             raise UsageError(f"stop block {stop} outside [0, {self.cfg.depth}]")
-        clips = np.asarray(clips, dtype=self.dtype)
-        clips = self._check_clips(clips)
-        p = self.params
-        patches = patchify_clips(clips, self.cfg.patch)
-        x = embed_tokens(Tensor(patches), p["patch_embed.weight"], p["patch_embed.bias"],
-                         p["cls_token"], p["pos_embed"])
+        x = self._embed(self._check_clips(np.asarray(clips, dtype=self.dtype)))
         for i in range(stop):
             x = self._block(x, i)
         return x
+
+    def _clip_features(self, x, start: int | None) -> Tensor:
+        """The per-clip part of ``encode``: checked clips (``start``
+        None) or prefix tokens through the blocks, pooled over the
+        frames, (batch, hidden)."""
+        if start is None:
+            x, start = self._embed(x), 0
+        else:
+            x = Tensor(x)
+        for i in range(start, self.cfg.depth):
+            x = self._block(x, i)
+        return temporal_average_pool(x)          # x: class tokens, (batch, frames, hidden)
 
     def encode(self, clips, start: int | None = None) -> Tensor:
         """Pooled, normalized clip features: (batch, hidden). With
         ``start`` given, ``clips`` is instead the batch of tokens that
         ``encode_prefix(clips, start)`` returns, and only the blocks
-        from ``start`` on run."""
+        from ``start`` on run.
+
+        A tracked forward of more than one chunk whose gradient reaches
+        more than the last block (from ``start`` or the frozen prefix,
+        whichever is later) runs its per-clip part through
+        ``tensor.chunked``, two chunks at a time on threads; the final
+        norm (and the head after it) still sees the whole batch. Under
+        ``no_grad`` it runs on the calling thread, so a forward-only
+        pass in chunks opens no pool of its own (README, "Engine: whole
+        chunks on two threads")."""
         cfg = self.cfg
         if start is None:
-            x, start = self.encode_prefix(clips, 0), 0
+            clips = self._check_clips(np.asarray(clips, dtype=self.dtype))
         else:
             if not 0 <= start <= cfg.depth:
                 raise UsageError(f"start block {start} outside [0, {cfg.depth}]")
-            x = Tensor(clips)
+            clips = np.asarray(clips.data if isinstance(clips, Tensor) else clips)
             expected = (cfg.frames, cfg.hidden) if start == cfg.depth else \
                 (cfg.frames, cfg.tokens_per_frame, cfg.hidden)
-            if x.shape[1:] != expected:
+            if clips.shape[1:] != expected:
                 raise ShapeError(
-                    f"prefix tokens {x.shape} do not match expected (batch,)+{expected}")
-        for i in range(start, cfg.depth):
-            x = self._block(x, i)
+                    f"prefix tokens {clips.shape} do not match expected (batch,)+{expected}")
+        # the first block a gradient reaches: with the frozen prefix
+        # counted, a forward from clips chunks exactly when one from
+        # train()'s cache does, and their gradients stay bitwise equal
+        if T._grad_enabled and len(clips) > T._CHUNK and \
+                max(start or 0, self.frozen_prefix() or 0) < cfg.depth - 1:
+            pooled = T.chunked(lambda chunk: self._clip_features(chunk, start), clips)
+        else:
+            pooled = self._clip_features(clips, start)
         p = self.params
-        pooled = temporal_average_pool(x)        # x: class tokens, (batch, frames, hidden)
         return T.layer_norm(pooled, p["final_norm.gamma"], p["final_norm.beta"])
 
     def forward(self, clips, start: int | None = None) -> Tensor:

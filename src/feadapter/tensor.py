@@ -42,6 +42,12 @@ Nothing is computed for a gradient nobody reads:
   ``requires_grad=False`` instead of computing its gradient, so a
   frozen weight costs no backward work.
 
+``chunked(fn, inputs)`` is the one chunk loop: ``fn`` over 4-row
+chunks, two at a time on threads, joined by one ``concat``. Under
+``no_grad`` it is the forward-only passes; in grad mode its join is a
+fork, and ``backward`` runs each chunk's subgraph on a thread of its
+own, adding the chunks' leaf-gradient sums to ``.grad`` in chunk order.
+
 ``depthwise_conv3d`` takes batched input only, (batch, channels, T, H,
 W), with its dilation rates as a float triple or a (batch, 3) tensor.
 Its trilinear sampling factors into one closed-form matrix per (clip,
@@ -58,8 +64,11 @@ GEMM.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 import reprlib
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -117,10 +126,11 @@ def _guard_finite(arr: np.ndarray, op: str) -> None:
 
 class _Node:
     """A gradient-tracked value in the graph: its parents' nodes, its
-    VJP (None for a leaf), its output shape and, for a leaf only, the
-    tensor that receives ``.grad``."""
+    VJP (None for a leaf), its output shape, for a leaf only the tensor
+    that receives ``.grad``, and whether it is the join of ``chunked``
+    (a fork, whose parents' subgraphs the backward runs on threads)."""
 
-    __slots__ = ("_parents", "_vjp", "shape", "leaf")
+    __slots__ = ("_parents", "_vjp", "shape", "leaf", "fork")
     requires_grad = True
 
     def __init__(self, parents: tuple, vjp: Callable | None, shape: tuple, leaf=None):
@@ -128,6 +138,7 @@ class _Node:
         self._vjp = vjp
         self.shape = shape
         self.leaf = leaf
+        self.fork = False
 
 
 class _Untracked(_Node):
@@ -195,14 +206,21 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+# creates leaf nodes: two chunk threads may meet a leaf's first use at once
+_LEAF_LOCK = threading.Lock()
+
+
 def _node_of(t: Tensor) -> _Node:
     """The node an op records for operand ``t``: the shared sentinel
     when ``t`` takes no gradient, else its own (for a leaf, created on
-    first use and cached, so a leaf used twice is one node)."""
+    first use and cached, so a leaf used twice is one node, also when
+    two threads use it first at once)."""
     if not t.requires_grad:
         return _UNTRACKED
     if t._node is None:
-        t._node = _Node((), None, t.data.shape, t)
+        with _LEAF_LOCK:
+            if t._node is None:
+                t._node = _Node((), None, t.data.shape, t)
     return t._node
 
 
@@ -766,18 +784,65 @@ def depthwise_conv3d(x, kernel, dilation=(1.0, 1.0, 1.0)) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# whole chunks on two threads
+# ---------------------------------------------------------------------------
+
+# rows per chunk, and chunks in flight at once: two 4-clip chunks hold
+# about what one 8-clip chunk held, and most of a chunk's forward and
+# backward is native code that releases the GIL (erf, the GEMMs; README,
+# "Engine: whole chunks on two threads")
+_CHUNK = 4
+_WORKERS = 2
+
+
+def _in_parallel(fn, items: list) -> list:
+    """``[fn(item) for item in items]``, ``_WORKERS`` items at a time on
+    a thread pool of this call's own, each in a copy of the caller's
+    context, so the caller's ``np.errstate`` holds in the workers too.
+    A failing item raises the error of the first failing item in order,
+    as a serial loop would, once the items already started have ended;
+    the items not yet started are cancelled. The pool is per call: a
+    process forked (a ``--parallel`` sweep) while a long-lived pool
+    exists inherits that pool without its threads, and hangs on its
+    first chunk."""
+    caller = contextvars.copy_context()
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        return list(pool.map(lambda item: caller.copy().run(fn, item), items))
+
+
+def chunked(fn, inputs) -> Tensor:
+    """``fn`` over ``inputs`` in chunks of ``_CHUNK`` rows, run by
+    ``_in_parallel`` and joined in chunk order by one ``concat`` along
+    the first axis: the one chunk loop. Its working memory is that of
+    the chunks in flight, so under ``no_grad`` (the forward-only passes)
+    it does not grow with the row count.
+
+    In grad mode the join of tracked chunk outputs is an ordinary
+    ``concat`` node whose parents are the chunk outputs, marked as a
+    fork: ``backward`` runs each chunk's subgraph on a thread of its
+    own into leaf-gradient sums of its own, and adds those sums to
+    ``.grad`` in chunk order. A leaf's ``.grad`` is then old + chunk 0
+    + chunk 1 + ..., the same bits on one core or two, and may differ
+    in its last bits from a backward over the unchunked rows."""
+    outs = _in_parallel(fn, [inputs[lo:lo + _CHUNK] for lo in range(0, len(inputs), _CHUNK)])
+    out = concat(outs, axis=0)
+    if out.requires_grad:
+        out._node.fork = True
+    return out
+
+
+# ---------------------------------------------------------------------------
 # reverse-mode traversal
 # ---------------------------------------------------------------------------
 
-def trace_graph(root: Tensor) -> list[_Node]:
-    """The graph nodes reachable from ``root``'s node through
-    gradient-tracked edges, in topological order (parents before
-    consumers). Leaves are the nodes whose ``_vjp`` is None; after a
-    backward the op nodes are still traced, with ``_spent`` as their
-    ``_vjp``."""
+def _order(top: _Node, through_forks: bool) -> list[_Node]:
+    """The nodes reachable from ``top`` through gradient-tracked edges,
+    in topological order (parents before consumers); without
+    ``through_forks``, a fork's parents and what lies under them are
+    left out."""
     order: list[_Node] = []
     visited: set[_Node] = set()
-    stack: list[tuple[_Node, bool]] = [(_node_of(root), False)]
+    stack: list[tuple[_Node, bool]] = [(top, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -787,10 +852,21 @@ def trace_graph(root: Tensor) -> list[_Node]:
             continue
         visited.add(node)
         stack.append((node, True))
+        if node.fork and not through_forks:
+            continue
         for p in node._parents:
             if p.requires_grad and p not in visited:
                 stack.append((p, False))
     return order
+
+
+def trace_graph(root: Tensor) -> list[_Node]:
+    """The graph nodes reachable from ``root``'s node through
+    gradient-tracked edges, chunk subgraphs included, in topological
+    order (parents before consumers). Leaves are the nodes whose
+    ``_vjp`` is None; after a backward the op nodes are still traced,
+    with ``_spent`` as their ``_vjp``."""
+    return _order(_node_of(root), True)
 
 
 def _spent(g):
@@ -798,45 +874,108 @@ def _spent(g):
     raise UsageError("this graph's backward already ran; its saved arrays are freed")
 
 
+def _split(top: _Node) -> tuple[list[_Node], dict]:
+    """The graph under ``top`` cut at its forks: the nodes of ``top``'s
+    own walk in topological order, and for each fork among them the
+    split of each of its parents (None for a parent without gradient)."""
+    order = _order(top, False)
+    return order, {node: [_split(p) if p.requires_grad else None for p in node._parents]
+                   for node in order if node.fork}
+
+
+def _nodes(split):
+    """Every node of ``split``'s walks; a leaf appears once per walk."""
+    order, forks = split
+    yield from order
+    for parts in forks.values():
+        for part in parts:
+            if part is not None:
+                yield from _nodes(part)
+
+
+def _add_to_grad(node: _Node, g: np.ndarray) -> None:
+    leaf = node.leaf
+    leaf.grad = g if leaf.grad is None else leaf.grad + g
+
+
+def _chunk_sums(seed) -> dict:
+    """One chunk subgraph's walk from its output gradient; its leaf
+    gradients are summed apart from the other chunks'."""
+    split, g = seed
+    sums: dict[_Node, np.ndarray] = {}
+
+    def add(node, g):
+        held = sums.get(node)
+        sums[node] = g if held is None else held + g
+
+    _walk(split, g, add)
+    return sums
+
+
+def _walk(split, g: np.ndarray, add) -> None:
+    """Run the VJPs of ``split``'s order in reverse, from ``g`` at its
+    last node, and pass each leaf's summed gradient to ``add(node, g)``.
+    At a fork, the chunk subgraphs run through ``_chunk_sums`` on two
+    threads, and their sums go to ``add`` in chunk order."""
+    order, forks = split
+    grads: dict[_Node, np.ndarray] = {order[-1]: g}
+    for node in reversed(order):
+        g = grads.pop(node, None)
+        if g is None:
+            continue
+        if node._vjp is None:
+            add(node, g)
+            continue
+        vjp, node._vjp = node._vjp, _spent
+        parts, seeds = forks.get(node), []
+        for i, (parent, pg) in enumerate(zip(node._parents, vjp(g))):
+            if pg is None or not parent.requires_grad:
+                continue
+            _guard_finite(pg, "backward")
+            if pg.shape != parent.shape:
+                pg = pg.reshape(parent.shape)
+            if parts is not None:
+                seeds.append((parts[i], pg))
+                continue
+            held = grads.get(parent)
+            grads[parent] = pg if held is None else held + pg
+        if seeds:
+            for sums in _in_parallel(_chunk_sums, seeds):
+                for leaf, s in sums.items():
+                    add(leaf, s)
+        # hold nothing of this node into the next VJP
+        vjp = g = pg = held = seeds = None
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar loss into every gradient-tracked
-    leaf reachable from it. Traverses exact reverse topological order.
+    leaf reachable from it. Traverses exact reverse topological order;
+    at the join of ``chunked`` (a fork), each chunk's subgraph runs on
+    a thread of its own and the chunks' leaf sums reach ``.grad`` in
+    chunk order. Chunk subgraphs that share an op node cannot run
+    apart, and the whole graph then runs as one walk.
 
     The backward consumes the graph: each op node's VJP is swapped for
-    ``_spent`` once it has run, and the loop drops its own references
+    ``_spent`` once it has run, and the walk drops its own references
     before the next VJP runs, so a saved array dies as soon as its one
     reader is done. Leaf nodes stay as they are. A second backward over
-    a spent graph raises ``UsageError`` before any ``.grad`` changes."""
+    a spent graph, or over any part of it, raises ``UsageError`` before
+    any ``.grad`` changes."""
     if not isinstance(loss, Tensor):
         raise UsageError("backward expects a Tensor loss")
     if loss.data.size != 1:
         raise UsageError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise UsageError("loss does not require gradients; nothing to differentiate")
-    order = trace_graph(loss)
-    if any(node._vjp is _spent for node in order):
+    split = _split(_node_of(loss))
+    nodes = list(_nodes(split))
+    if any(node._vjp is _spent for node in nodes):
         raise UsageError("this graph's backward already ran; run a new forward to "
                          "differentiate again")
-    grads: dict[_Node, np.ndarray] = {order[-1]: np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = grads.pop(node, None)
-        if g is None:
-            continue
-        if node._vjp is None:
-            leaf = node.leaf
-            leaf.grad = g if leaf.grad is None else leaf.grad + g
-            continue
-        vjp, node._vjp = node._vjp, _spent
-        for parent, pg in zip(node._parents, vjp(g)):
-            if pg is None or not parent.requires_grad:
-                continue
-            _guard_finite(pg, "backward")
-            if pg.shape != parent.shape:
-                pg = pg.reshape(parent.shape)
-            held = grads.get(parent)
-            grads[parent] = pg if held is None else held + pg
-        # hold nothing of this node into the next VJP
-        vjp = g = pg = held = None
+    ops = [node for node in nodes if node._vjp is not None]
+    if len(set(ops)) < len(ops):
+        split = trace_graph(loss), {}
+    _walk(split, np.ones_like(loss.data), _add_to_grad)
 
 
 def finite_difference_gradient(f, params: Tensor, eps: float = 1e-5) -> Tensor:

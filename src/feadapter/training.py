@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import contextvars
 import hashlib
 import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +19,6 @@ from .data import VideoBatch, synth_dataset
 from .errors import NonFiniteError, TrainingDiverged, UsageError
 from .metrics import MetricsReport, uar_war
 from .tensor import Tensor
-
-# clips per forward-only chunk, and chunks in flight at once: two 4-clip
-# chunks hold about what one 8-clip chunk held, and the GIL is released
-# in the native code (erf, GEMMs) that takes most of a forward (README,
-# "Engine: what the graph keeps")
-_EVAL_CHUNK = 4
-_EVAL_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -125,26 +116,15 @@ class TrainResult:
 
 
 def _forward_only(fn, inputs: np.ndarray) -> np.ndarray:
-    """``fn`` over ``inputs`` in chunks of ``_EVAL_CHUNK`` rows under
-    ``no_grad``, ``_EVAL_WORKERS`` chunks at a time on this call's own
-    thread pool, outputs concatenated in chunk order: the one
-    forward-only loop, shared by evaluation and the frozen-prefix cache.
-    The model is per clip up to the head, so the chunk sets the working
-    memory, not the result: its peak is the MLP hidden activations of
-    the chunks in flight. The 2-d rate and classifier heads may round a
-    row differently in a chunk of another row count, so outputs are
-    reproducible for a given ``inputs``.
-
-    A failing chunk raises the error of the first failing chunk in
-    order, as a serial loop would; the chunks not yet started are
-    cancelled, and the pool's threads end before grad mode is restored.
-    Each chunk runs in a copy of the caller's context, so the caller's
-    ``np.errstate`` holds in the workers too."""
-    chunks = [inputs[lo:lo + _EVAL_CHUNK] for lo in range(0, len(inputs), _EVAL_CHUNK)]
-    caller = contextvars.copy_context()
-    with T.no_grad(), ThreadPoolExecutor(_EVAL_WORKERS) as pool:
-        return np.concatenate([out.data for out in pool.map(
-            lambda chunk: caller.copy().run(fn, chunk), chunks)])
+    """``fn`` over ``inputs`` through ``tensor.chunked`` under
+    ``no_grad``: the forward-only passes of evaluation and of the
+    frozen-prefix cache. The model is per clip up to the head, so the
+    chunk sets the working memory, not the result. The 2-d rate and
+    classifier heads may round a row differently in a chunk of another
+    row count, so outputs are reproducible for a given ``inputs``. The
+    chunk threads end before grad mode is restored."""
+    with T.no_grad():
+        return T.chunked(fn, inputs).data
 
 
 def evaluate_model(model: VideoViT, data: VideoBatch, start: int | None = None) -> MetricsReport:

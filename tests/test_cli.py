@@ -4,7 +4,9 @@ import builtins
 import errno
 import json
 import os
+import signal
 import struct
+import subprocess
 import sys
 
 import numpy as np
@@ -295,6 +297,42 @@ class TestSweepCommand:
         seq = read_records(str(tmp_path / "seq" / "sweep_local_position.jsonl"))
         par = read_records(str(tmp_path / "par" / "sweep_local_position.jsonl"))
         assert seq == par
+
+    @pytest.mark.slow
+    def test_parallel_sweep_after_a_chunked_step_finishes(self, tiny_config, tmp_path):
+        # the sweep's pool forks this process; a worker forked after a
+        # chunked step must find no chunk pool whose threads it lacks
+        config = tmp_path / "chunked.cfg"
+        config.write_text(TINY.replace("train.batch = 4", "train.batch = 8")
+                          .replace("data.clips_per_class = 2", "data.clips_per_class = 4")
+                          + f"out.dir = {tmp_path / 'run'}\n")
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "from feadapter import VideoViT, apply_freeze, load_experiment_config\n"
+                  "from feadapter import tensor as T\n"
+                  "from feadapter.cli import run_sweep\n"
+                  "from feadapter.training import experiment_data\n"
+                  f"exp = load_experiment_config({str(config)!r})\n"
+                  "m = VideoViT(exp.model, seed=0)\n"
+                  "apply_freeze(m, 'adapter')\n"
+                  "data = experiment_data(exp)\n"
+                  "loss = T.cross_entropy(m.forward(data.clips[:8]), data.labels[:8])\n"
+                  "assert any(node.fork for node in T.trace_graph(loss))\n"
+                  "loss.backward()\n"
+                  "print(len(run_sweep('global_position', exp, parallel=2)))\n")
+        src = os.path.dirname(os.path.dirname(feadapter.cli.__file__))
+        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True,
+                                env={**os.environ, "PYTHONPATH": src})
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the hung workers too
+            proc.communicate()
+            pytest.fail("the parallel sweep hung after a chunked step")
+        assert proc.returncode == 0, err
+        cells = sweep_cells("global_position", load_experiment_config(str(config)))
+        assert out.split() == [str(len(cells))]
 
     def test_out_naming_a_file_fails_before_any_cell(self, tiny_config, tmp_path, capsys,
                                                      monkeypatch):

@@ -861,6 +861,22 @@ class TestSavedArrays:
             loss.backward()
         assert [t.grad.tobytes() for t in (x, kern, rates)] == once
 
+    def test_chunks_sharing_an_op_node_run_as_one_walk(self):
+        # every chunk reads w2, a tracked op result made outside the
+        # loop: the chunk subgraphs cannot run apart on threads
+        rng = np.random.default_rng(54)
+        w = Tensor(rng.normal(size=(3,)), dtype=np.float64, requires_grad=True)
+        x = rng.normal(size=(8, 3))
+
+        def grad_of(loop):
+            w.grad = None
+            w2 = T.mul(w, w)
+            weighted_scalar(loop(lambda c: T.mul(Tensor(c), w2), x)).backward()
+            return w.grad
+
+        one_walk = grad_of(lambda fn, rows: T.concat([fn(rows[:4]), fn(rows[4:])], axis=0))
+        np.testing.assert_array_equal(grad_of(T.chunked), one_walk)
+
     @pytest.mark.parametrize("op", ["gelu", "depthwise_conv3d", "layer_norm"])
     def test_vjp_called_twice_gives_the_same_bits(self, op):
         # no VJP writes into what it keeps

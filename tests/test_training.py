@@ -4,6 +4,7 @@ schedule, recall metrics, synthetic data, and loop behavior."""
 import hashlib
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -433,7 +434,7 @@ class TestFrozenPrefixCache:
     def test_cached_logits_and_gradients_bitwise_equal_to_forward(self):
         m = self.late_model()
         start = m.frozen_prefix()
-        # 40 clips are ten whole chunks of ``_EVAL_CHUNK``; 42 leave a
+        # 40 clips are ten whole chunks of ``T._CHUNK``; 42 leave a
         # partial last chunk, read at rows 40 and 41
         for clips_per_class, idx in ((20, [37, 3, 31, 12, 0, 33, 8, 20]),
                                      (21, [41, 3, 31, 12, 0, 33, 40, 20])):
@@ -512,8 +513,8 @@ def serial_forward_only(fn, inputs, chunk):
 
 
 class TestForwardOnlyChunks:
-    """``_forward_only`` runs ``_EVAL_CHUNK`` clips at a time on
-    ``_EVAL_WORKERS`` threads, so its working memory does not grow with
+    """``_forward_only`` runs ``T._CHUNK`` clips at a time on
+    ``T._WORKERS`` threads, so its working memory does not grow with
     the clip count. The late model's prefix (the embedding and two
     blocks without adapters) stacks every matmul per frame, so the
     chunking changes no bit of its tokens; the 2-d rate and classifier
@@ -526,7 +527,7 @@ class TestForwardOnlyChunks:
         m = self.late_model()
         data = tiny_data(m.cfg, clips_per_class=21).clips[:clips]
         np.testing.assert_array_equal(_forward_only(m.forward, data),
-                                      serial_forward_only(m.forward, data, training._EVAL_CHUNK))
+                                      serial_forward_only(m.forward, data, T._CHUNK))
 
     def test_desk_logits_equal_those_of_serial_8_clip_chunks(self):
         # at desk geometry the 2-d heads round each of the 160 rows alike
@@ -543,7 +544,7 @@ class TestForwardOnlyChunks:
     def test_failing_chunk_raises_the_first_error_in_order(self):
         m = self.late_model()
         clips = tiny_data(m.cfg, clips_per_class=21).clips.copy()
-        chunk = training._EVAL_CHUNK
+        chunk = T._CHUNK
         # chunks 2 and 5 fail; chunk 2 fails last in time but first in order
         clips[2 * chunk + 1, 0, 0, 0, 0] = np.nan
         clips[5 * chunk, 0, 0, 0, 0] = np.nan
@@ -580,7 +581,7 @@ class TestForwardOnlyChunks:
         assert T._grad_enabled
 
     def test_caller_errstate_holds_in_the_workers(self):
-        big = np.full((2 * training._EVAL_CHUNK, 3), 1e30, dtype=np.float32)
+        big = np.full((2 * T._CHUNK, 3), 1e30, dtype=np.float32)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             _forward_only(lambda c: T.mul(Tensor(c), Tensor(c)), big)
 
@@ -589,8 +590,8 @@ class TestForwardOnlyChunks:
         clips = tiny_data(m.cfg, clips_per_class=21).clips
         start = m.frozen_prefix()
         fn = lambda c: m.encode_prefix(c, start)  # noqa: E731
-        expected = serial_forward_only(fn, clips, training._EVAL_CHUNK)
-        monkeypatch.setattr(training, "_EVAL_WORKERS", 8)
+        expected = serial_forward_only(fn, clips, T._CHUNK)
+        monkeypatch.setattr(T, "_WORKERS", 8)
         outs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -615,7 +616,7 @@ class TestForwardOnlyChunks:
         peak = {n: traced_peak(lambda: evaluate_model(m, VideoBatch(data.clips[:n],
                                                                     data.labels[:n])))
                 for n in (4, 64)}
-        assert peak[64] <= 1.2 * training._EVAL_WORKERS * peak[4], peak
+        assert peak[64] <= 1.2 * T._WORKERS * peak[4], peak
 
     def test_prefix_cache_peak_grows_only_by_the_cache(self):
         # the cache itself grows with the clip count, and concatenating
@@ -630,7 +631,7 @@ class TestForwardOnlyChunks:
             peak = traced_peak(lambda: out.append(
                 _forward_only(lambda c: m.encode_prefix(c, start), clips[:n])))
             beyond[n] = peak - 2 * out[0].nbytes
-        assert beyond[64] <= 1.2 * training._EVAL_WORKERS * beyond[4], beyond
+        assert beyond[64] <= 1.2 * T._WORKERS * beyond[4], beyond
 
     def test_prefix_tokens_bitwise_equal_at_every_chunk_size(self, monkeypatch):
         m = self.late_model()
@@ -638,7 +639,193 @@ class TestForwardOnlyChunks:
         start = m.frozen_prefix()
         tokens = {}
         for chunk in (1, 3, 4, 8, 32):
-            monkeypatch.setattr(training, "_EVAL_CHUNK", chunk)
+            monkeypatch.setattr(T, "_CHUNK", chunk)
             tokens[chunk] = _forward_only(lambda c: m.encode_prefix(c, start), clips)
         for chunk in (1, 3, 8, 32):
             np.testing.assert_array_equal(tokens[chunk], tokens[4], err_msg=f"chunk {chunk}")
+
+
+def chunk_model(seed=12):
+    """Adapters in both blocks of a depth-2 model, trainables (head
+    included) randomized so every adapter gradient carries signal."""
+    m = VideoViT(adapter_cfg(), seed=seed)
+    apply_freeze(m, "adapter")
+    randomize_trainable(m, seed, scale=0.1)
+    return m
+
+
+def chunk_batch():
+    """Two chunks of clips (``T._CHUNK`` is 4)."""
+    data = tiny_data(adapter_cfg(), clips_per_class=4)
+    return data.clips, data.labels
+
+
+def adapter_grads(m) -> dict:
+    return {n: t.grad for n, t in m.params.items() if ".adapter." in n}
+
+
+def chunked_step_digest() -> str:
+    """SHA-256 over the adapter ``.grad`` bytes after one chunked step."""
+    m = chunk_model()
+    clips, labels = chunk_batch()
+    T.cross_entropy(m.forward(clips), labels).backward()
+    h = hashlib.sha256()
+    for name, grad in sorted(adapter_grads(m).items()):
+        h.update(name.encode())
+        h.update(grad.tobytes())
+    return h.hexdigest()
+
+
+def serial_chunk_sums(m, clips, labels) -> list[dict]:
+    """The reference for a chunked step's adapter gradients: the
+    gradient of the head's loss at the joined features, then each
+    chunk's slice of it run back through that chunk alone, one chunk
+    after another on the calling thread, one sum per chunk."""
+    p, chunk = m.params, T._CHUNK
+    parts = [clips[lo:lo + chunk] for lo in range(0, len(clips), chunk)]
+    with T.no_grad():
+        join = Tensor(np.concatenate([m._clip_features(c, None).data for c in parts]),
+                      requires_grad=True)
+    feats = T.layer_norm(join, p["final_norm.gamma"], p["final_norm.beta"])
+    T.cross_entropy(T.matmul(feats, p["head.weight"], p["head.bias"]), labels).backward()
+    sums = []
+    for i, c in enumerate(parts):
+        m.zero_grad()
+        seed = Tensor(join.grad[i * chunk:(i + 1) * chunk])
+        T.sum_axis(T.mul(m._clip_features(c, None), seed)).backward()
+        sums.append(adapter_grads(m))
+    m.zero_grad()
+    return sums
+
+
+class TestChunkedStep:
+    """A tracked forward of more than one chunk runs its per-clip part
+    through ``tensor.chunked``: two chunks on two threads, joined by a
+    ``concat`` whose backward runs each chunk's subgraph on a thread of
+    its own and adds the chunk sums to ``.grad`` in chunk order."""
+
+    def step(self, m, clips, labels):
+        logits = m.forward(clips)
+        loss = T.cross_entropy(logits, labels)
+        forks = sum(node.fork for node in T.trace_graph(loss))
+        loss.backward()
+        return logits, loss, forks
+
+    def test_logits_loss_and_head_grads_bitwise_those_of_one_chunk(self, monkeypatch):
+        clips, labels = chunk_batch()
+        outs = []
+        for chunk in (T._CHUNK, len(clips)):
+            monkeypatch.setattr(T, "_CHUNK", chunk)
+            m = chunk_model()
+            logits, loss, forks = self.step(m, clips, labels)
+            outs.append((forks, logits.data, loss.data,
+                         m.params["head.weight"].grad, m.params["head.bias"].grad))
+        (forks, *chunked), (no_forks, *whole) = outs
+        assert (forks, no_forks) == (1, 0)
+        for got, want in zip(chunked, whole):
+            np.testing.assert_array_equal(got, want)
+
+    def test_adapter_grads_bitwise_the_serial_chunk_sums(self):
+        clips, labels = chunk_batch()
+        first, second = serial_chunk_sums(chunk_model(), clips, labels)
+        m = chunk_model()
+        self.step(m, clips, labels)
+        for name, grad in adapter_grads(m).items():
+            np.testing.assert_array_equal(grad, first[name] + second[name], err_msg=name)
+
+    def test_grad_already_set_ends_as_old_plus_chunk_0_plus_chunk_1(self):
+        clips, labels = chunk_batch()
+        first, second = serial_chunk_sums(chunk_model(), clips, labels)
+        m = chunk_model()
+        rng = np.random.default_rng(3)
+        old = {name: rng.normal(0.0, 1e-2, size=g.shape).astype(np.float32)
+               for name, g in first.items()}
+        for name, g in old.items():
+            m.params[name].grad = g.copy()
+        self.step(m, clips, labels)
+        for name, grad in adapter_grads(m).items():
+            np.testing.assert_array_equal(grad, old[name] + first[name] + second[name],
+                                          err_msg=name)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_same_grad_bytes_on_one_cpu(self):
+        tests = os.path.dirname(os.path.abspath(__file__))
+        script = ("import os, sys\n"
+                  "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                  f"sys.path[:0] = [{os.path.join(os.path.dirname(tests), 'src')!r}, {tests!r}]\n"
+                  "import test_training\n"
+                  "print(len(os.sched_getaffinity(0)), test_training.chunked_step_digest())\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", chunked_step_digest()]
+
+    def test_nan_in_the_second_chunk_raises_once_both_chunks_ended(self):
+        m = chunk_model()
+        clips, labels = chunk_batch()
+        clips = clips.copy()
+        clips[T._CHUNK + 1, 0, 0, 0, 0] = np.nan
+        ended = []
+        features = m._clip_features
+
+        def slow_first_chunk(x, start):
+            lo = (x.ctypes.data - clips.ctypes.data) // clips.strides[0]
+            try:
+                if lo == 0:
+                    time.sleep(0.2)
+                return features(x, start)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"chunk at clip {lo}") from exc
+            finally:
+                ended.append(lo)
+
+        m._clip_features = slow_first_chunk
+        with pytest.raises(NonFiniteError, match=f"chunk at clip {T._CHUNK}$"):
+            m.forward(clips)
+        assert sorted(ended) == [0, T._CHUNK]
+        # train() names the step; under freeze = full nothing is cached,
+        # so the clips reach the chunked step itself
+        tc = TrainConfig(lr=1e-3, batch=len(clips), epochs=1, seed=2, freeze="full")
+        with pytest.raises(TrainingDiverged, match="non-finite loss at epoch 0, step 1: ") as info:
+            train(chunk_model(), VideoBatch(clips, labels), tc)
+        assert isinstance(info.value.__cause__, NonFiniteError)
+
+    def test_second_backward_over_a_spent_chunked_graph_raises_first(self):
+        m = chunk_model()
+        clips, labels = chunk_batch()
+        chunk_outs = []
+        features = m._clip_features
+        m._clip_features = lambda x, start: chunk_outs.append(features(x, start)) or chunk_outs[-1]
+        loss = T.cross_entropy(m.forward(clips), labels)
+        loss.backward()
+        before = {n: t.grad.copy() for n, t in m.params.items() if t.grad is not None}
+        with pytest.raises(UsageError, match="already ran"):
+            loss.backward()
+        # a loss over one chunk's own output reaches only that chunk's nodes
+        for out in chunk_outs:
+            with pytest.raises(UsageError, match="already ran"):
+                T.sum_axis(out).backward()
+        after = {n: t.grad for n, t in m.params.items() if t.grad is not None}
+        assert before.keys() == after.keys()
+        for name, grad in before.items():
+            np.testing.assert_array_equal(after[name], grad, err_msg=name)
+
+    def test_one_node_per_trainable_leaf_when_chunks_meet_it_at_once(self, monkeypatch):
+        # a leaf's node is made on its first use; here it takes 20 ms
+        # to make, so the second chunk's thread meets every adapter leaf
+        # while the first is still making its node
+        class SlowLeaf(T._Node):
+            __slots__ = ()
+
+            def __init__(self, parents, vjp, shape, leaf=None):
+                if leaf is not None:
+                    time.sleep(0.02)
+                super().__init__(parents, vjp, shape, leaf)
+
+        monkeypatch.setattr(T, "_Node", SlowLeaf)
+        m = chunk_model()
+        clips, labels = chunk_batch()
+        loss = T.cross_entropy(m.forward(clips), labels)
+        leaves = [node.leaf for node in T.trace_graph(loss) if node._vjp is None]
+        trainable = [t for t in m.params.values() if t.requires_grad]
+        assert sorted(map(id, leaves)) == sorted(map(id, trainable))
