@@ -1,11 +1,11 @@
 """Bottleneck adapters for image-to-video transfer.
 
-The plain variant is residual down-project / activation / up-project.
+The plain variant is residual down-project / GELU / up-project.
 The conv variants insert a depthwise 3-d convolution over the
 (frames, grid) token lattice inside the bottleneck: fixed dilation 1
 (``dw_conv3d``) or rates predicted per clip from pooled bottleneck
 features (``d2_conv3d``). Class tokens have no lattice position, so
-they bypass the convolution and rejoin before the activation.
+they bypass the convolution and rejoin before the GELU.
 
 Up-projections initialize to zero, making a fresh adapter an exact
 no-op on the host network.
@@ -23,13 +23,6 @@ from .tensor import Tensor
 # Bias of the rate head is set so softplus(bias) < 1e-6 and rates start
 # at 1 (an identity-start convention; softplus keeps rates >= 1 always).
 RATE_HEAD_BIAS = -16.0
-
-ACTIVATIONS = {
-    "gelu": T.gelu,
-    "relu": T.relu,
-    "identity": lambda t: t,
-}
-
 
 @dataclass
 class AdapterWeights:
@@ -95,7 +88,7 @@ def dilation_rates(grid, dil_w, dil_b) -> Tensor:
 
 def apply_adapter(x, w: AdapterWeights, cfg: AdapterConfig, frames: int,
                   grid_hw: tuple[int, int]) -> Tensor:
-    """Residual bottleneck, x + f(h) W_up + b_up with h = x W_down + b_down.
+    """Residual bottleneck, x + gelu(h) W_up + b_up with h = x W_down + b_down.
     The conv variants replace h by its depthwise 3-d conv over the patch
     grid (class tokens bypass it): at rate 1 (``dw_conv3d``) or at the
     clip's predicted rates (``d2_conv3d``)."""
@@ -112,4 +105,4 @@ def apply_adapter(x, w: AdapterWeights, cfg: AdapterConfig, frames: int,
         h = grid_to_tokens(T.depthwise_conv3d(grid, w.kernel, rates), cls)
     # (x + h W_up) + b_up: the bias joins after the residual, so folding
     # it into the matmul would round differently
-    return x + T.matmul(ACTIVATIONS[cfg.activation](h), w.up_w) + w.up_b
+    return x + T.matmul(T.gelu(h), w.up_w) + w.up_b

@@ -72,7 +72,6 @@ def sweep_cells(kind: str, exp: ExperimentConfig) -> list[tuple[str, dict]]:
     """Cell labels plus config-key overrides for one sweep family."""
     if kind == "temporal_conv":
         return [
-            ("ta", {"adapter.variant": "none", "train.freeze": "temporal_aggregation"}),
             ("linear_probe", {"adapter.variant": "none", "train.freeze": "linear_probe"}),
             ("dw_conv3d", {"adapter.variant": "dw_conv3d", "train.freeze": "adapter"}),
             ("d2_conv3d", {"adapter.variant": "d2_conv3d", "train.freeze": "adapter"}),

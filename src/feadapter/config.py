@@ -13,8 +13,9 @@ from .errors import ConfigError
 
 ADAPTER_VARIANTS = ("none", "vanilla", "dw_conv3d", "d2_conv3d")
 ADAPTER_POSITIONS = ("before_mhsa", "after_mhsa", "after_mlp")
-ADAPTER_ACTIVATIONS = ("gelu", "relu", "identity")
-FREEZE_MODES = ("full", "linear_probe", "adapter", "temporal_aggregation")
+FREEZE_MODES = ("full", "linear_probe", "adapter")
+# (kT, kH, kW) of every conv adapter's depthwise kernel
+CONV_KERNEL = (3, 3, 3)
 
 # Reference tunable-parameter budget (millions are reported elsewhere;
 # this is the raw count) used to derive the default bottleneck width
@@ -30,19 +31,13 @@ class AdapterConfig:
     r: int = 16
     blocks: tuple[int, ...] | None = None  # 1-based block indices; None = every block
     position: str = "before_mhsa"
-    kernel: tuple[int, int, int] = (3, 3, 3)
-    activation: str = "gelu"
 
     def __post_init__(self):
         if self.variant not in ADAPTER_VARIANTS:
             raise ConfigError(f"unknown adapter variant {self.variant!r}; expected one of {ADAPTER_VARIANTS}")
         if self.position not in ADAPTER_POSITIONS:
             raise ConfigError(f"unknown adapter position {self.position!r}; expected one of {ADAPTER_POSITIONS}")
-        if self.activation not in ADAPTER_ACTIVATIONS:
-            raise ConfigError(f"unknown adapter activation {self.activation!r}")
         _at_least(1, r=self.r)
-        if len(self.kernel) != 3 or any(k < 1 or k % 2 == 0 for k in self.kernel):
-            raise ConfigError(f"kernel extents must be odd and positive, got {self.kernel}")
 
     def resolved_blocks(self, depth: int) -> Sequence[int]:
         """The 1-based blocks actually carrying an adapter, ascending.
@@ -122,12 +117,11 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 0
     eval_every: int = 1
-    min_lr: float = 0.0
     freeze: str = "adapter"
 
     def __post_init__(self):
         _positive(lr=self.lr)
-        _at_least(0, weight_decay=self.weight_decay, min_lr=self.min_lr, seed=self.seed)
+        _at_least(0, weight_decay=self.weight_decay, seed=self.seed)
         _at_least(1, batch=self.batch, epochs=self.epochs, eval_every=self.eval_every)
         if self.freeze not in FREEZE_MODES:
             raise ConfigError(f"unknown freeze mode {self.freeze!r}; expected one of {FREEZE_MODES}")
@@ -226,7 +220,7 @@ def parameter_layout(cfg: ModelConfig) -> list[ParamSpec]:
             add(pre + "adapter.up.weight", (ad.r, d), "zeros", i, agrp)
             add(pre + "adapter.up.bias", (d,), "zeros", i, agrp)
             if ad.variant in ("dw_conv3d", "d2_conv3d"):
-                add(pre + "adapter.conv.kernel", (ad.r, *ad.kernel), "conv", i, agrp)
+                add(pre + "adapter.conv.kernel", (ad.r, *CONV_KERNEL), "conv", i, agrp)
             if ad.variant == "d2_conv3d":
                 dgrp = f"dilation.block{i + 1}"
                 add(pre + "adapter.dilation.weight", (ad.r, 3), "zeros", i, dgrp)
@@ -240,12 +234,9 @@ def parameter_layout(cfg: ModelConfig) -> list[ParamSpec]:
 
 def check_freeze(cfg: ModelConfig, mode: str) -> None:
     """The adapters a freeze mode needs: 'adapter' trains them, so there
-    must be some; 'temporal_aggregation' is the adapter-free baseline."""
-    active = cfg.adapter.active(cfg.depth)
-    if mode == "adapter" and not active:
+    must be some."""
+    if mode == "adapter" and not cfg.adapter.active(cfg.depth):
         raise ConfigError("freeze mode 'adapter' requires an adapter variant other than 'none'")
-    if mode == "temporal_aggregation" and active:
-        raise ConfigError("freeze mode 'temporal_aggregation' requires adapter variant 'none'")
 
 
 def group_is_trainable(group: str, mode: str) -> bool:
@@ -259,7 +250,7 @@ def group_is_trainable(group: str, mode: str) -> bool:
         return True
     if mode == "adapter":
         return group.startswith("adapter.") or group.startswith("dilation.")
-    return False  # linear_probe / temporal_aggregation: head only
+    return False  # linear_probe: head only
 
 
 @dataclass(frozen=True)
@@ -287,7 +278,7 @@ def count_tunable_params(cfg: ModelConfig, mode: str) -> ParamCount:
 
 
 def derive_bottleneck_width(hidden: int, depth: int, classes: int,
-                            kernel=(3, 3, 3), variant: str = "d2_conv3d",
+                            variant: str = "d2_conv3d",
                             target: int = PARAM_BUDGET_TARGET) -> int:
     """The bottleneck width in [1, hidden) whose tunable count (adapters
     in every block plus the classifier head) is closest to the parameter
@@ -302,8 +293,7 @@ def derive_bottleneck_width(hidden: int, depth: int, classes: int,
     def tunable(r):
         # every block holds the same adapter, so count one and scale it
         one = ModelConfig(frames=1, height=1, width=1, patch=1, hidden=hidden, depth=1, heads=1,
-                          classes=classes,
-                          adapter=AdapterConfig(variant=variant, r=r, kernel=tuple(kernel)))
+                          classes=classes, adapter=AdapterConfig(variant=variant, r=r))
         counts = count_tunable_params(one, "adapter")
         head = counts.groups["classifier"]["params"]
         return depth * (counts.trainable - head) + head
@@ -386,19 +376,8 @@ def _expand_blocks(ranges: tuple[range, ...], depth: int) -> tuple[int, ...]:
     return tuple(b for r in ranges for b in r)
 
 
-def _kernel(value) -> tuple[int, int, int]:
-    parts = value.split(",") if isinstance(value, str) else value
-    if not isinstance(parts, (list, tuple)) or len(parts) != 3:
-        raise ValueError("not three comma-separated extents")
-    return tuple(_int(p) for p in parts)  # type: ignore[return-value]
-
-
 def _show_blocks(blocks) -> str:
     return "all" if blocks is None else ",".join(map(str, blocks))
-
-
-def _show_kernel(kernel) -> str:
-    return ",".join(map(str, kernel))
 
 
 # key -> (dataclass, field, parser, echo formatter or None to echo as is).
@@ -417,15 +396,12 @@ _KEYS: dict[str, tuple[type, str, Callable, Callable | None]] = {
     "adapter.r": (AdapterConfig, "r", _int_or_auto, None),
     "adapter.blocks": (AdapterConfig, "blocks", _blocks, _show_blocks),
     "adapter.position": (AdapterConfig, "position", _str, None),
-    "adapter.kernel": (AdapterConfig, "kernel", _kernel, _show_kernel),
-    "adapter.activation": (AdapterConfig, "activation", _str, None),
     "train.lr": (TrainConfig, "lr", _float, None),
     "train.weight_decay": (TrainConfig, "weight_decay", _float, None),
     "train.batch": (TrainConfig, "batch", _int, None),
     "train.epochs": (TrainConfig, "epochs", _int, None),
     "train.seed": (TrainConfig, "seed", _int, None),
     "train.eval_every": (TrainConfig, "eval_every", _int, None),
-    "train.min_lr": (TrainConfig, "min_lr", _float, None),
     "train.freeze": (TrainConfig, "freeze", _str, None),
     "data.clips_per_class": (ExperimentConfig, "clips_per_class", _int, None),
     "data.noise": (ExperimentConfig, "noise", _float, None),
@@ -463,7 +439,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 def experiment_from_values(values: dict) -> ExperimentConfig:
     """Build a fully validated ExperimentConfig from flat key-values, each
     as config text, a config echo's JSON value or a parsed value. Absent
-    keys take the dataclass defaults; unknown keys are ignored."""
+    keys take the dataclass defaults; an unknown key is rejected by name,
+    as in config text."""
+    for key in values:
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
     fields: dict[type, dict] = {ModelConfig: {}, AdapterConfig: {}, TrainConfig: {},
                                 ExperimentConfig: {}}
     for key, (cls, name, _, _) in _KEYS.items():
@@ -477,7 +457,6 @@ def experiment_from_values(values: dict) -> ExperimentConfig:
         geometry = ModelConfig(**fields[ModelConfig])
         adapter["r"] = derive_bottleneck_width(
             geometry.hidden, geometry.depth, geometry.classes,
-            kernel=adapter.get("kernel", AdapterConfig.kernel),
             variant=adapter.get("variant", AdapterConfig.variant))
     model = ModelConfig(**fields[ModelConfig], adapter=AdapterConfig(**adapter))
     return ExperimentConfig(model=model, train=TrainConfig(**fields[TrainConfig]),

@@ -159,8 +159,6 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)

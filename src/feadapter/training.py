@@ -28,8 +28,8 @@ class FreezePlan:
 
 def apply_freeze(model: VideoViT, mode: str) -> FreezePlan:
     """Set requires_grad flags so the optimizer sees only the mode's
-    trainable set: everything (full), head only (linear_probe and
-    temporal_aggregation), or adapters plus head (adapter)."""
+    trainable set: everything (full), head only (linear_probe), or
+    adapters plus head (adapter)."""
     check_freeze(model.cfg, mode)
     trainable = []
     for spec in model.layout.values():
@@ -96,11 +96,11 @@ class AdamW:
             self.params[name].grad = None
 
 
-def cosine_lr(epoch: int, total_epochs: int, base_lr: float, min_lr: float = 0.0) -> float:
-    """Cosine annealing from base_lr at epoch 0 to min_lr at the end."""
+def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:
+    """Cosine annealing from base_lr at epoch 0 to 0 at the end."""
     if not 0 <= epoch <= total_epochs:
         raise UsageError(f"epoch {epoch} outside [0, {total_epochs}]")
-    return min_lr + (base_lr - min_lr) * (1.0 + math.cos(math.pi * epoch / total_epochs)) / 2.0
+    return base_lr * (1.0 + math.cos(math.pi * epoch / total_epochs)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
     step_count = 0
     try:
         for epoch in range(tcfg.epochs):
-            lr = cosine_lr(epoch, tcfg.epochs, tcfg.lr, tcfg.min_lr)
+            lr = cosine_lr(epoch, tcfg.epochs, tcfg.lr)
             perm = rng.permutation(total)
             loss_sum = 0.0
             for lo in range(0, total, tcfg.batch):

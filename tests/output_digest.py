@@ -24,11 +24,14 @@ down, it hashes:
   checkpoint's tensors as ``load_experiment`` reads them back (the raw
   file holds the temporary ``out.dir``).
 
-It also runs one training step and one 32-clip forward at desk size,
+It also runs two training steps and one 32-clip forward at desk size,
 so that arrays above the engine's slice-checking threshold are hashed.
-At desk size it hashes, too, the raw ``.grad`` of every tensor after
-that step's forward and backward, before AdamW reads them, so a change
-to the backward is checked on the gradients themselves, and the
+Two steps, because the classifier head starts at zero, so the first
+step's adapter gradients are all exactly 0. At desk size it hashes,
+too, the raw ``.grad`` of every tensor after one forward and backward
+of a model with randomized trainables, before AdamW reads them, so a
+change to the backward is checked on the gradients themselves (the
+script fails if every block-0 adapter gradient is zero), and the
 chunked forward-only loop (``training._forward_only``) over
 desk traffic: the logits over the 160 desk clips, and the late-third
 cell's 40 clips as ``train()`` sees them, prefix tokens and logits.
@@ -106,15 +109,17 @@ def _train_steps(h, exp, steps: int) -> None:
 
 
 def _desk_grads(h, exp) -> None:
-    """Every ``.grad`` after the forward and backward of
-    ``_train_steps``'s first batch, by sorted name."""
-    import feadapter as fa
+    """Every ``.grad`` of ``_randomized(exp)`` after the forward and
+    backward of ``_train_steps``'s first batch, by sorted name."""
     from feadapter import tensor as T
     data = _dataset(exp)
-    model = fa.VideoViT(exp.model, seed=exp.train.seed)
-    fa.apply_freeze(model, "adapter")
+    model = _randomized(exp)
     idx = _batch_rng(exp).choice(len(data), exp.train.batch, replace=False)
     T.cross_entropy(model.forward(data.clips[idx]), data.labels[idx]).backward()
+    if not any(t.grad is not None and t.grad.any() for name, t in model.params.items()
+               if name.startswith("blocks.0.adapter.")):
+        sys.exit("output_digest.py: every block-0 adapter gradient is zero, "
+                 "so desk_grads would check no adapter backward")
     for name in sorted(model.params):
         grad = model.params[name].grad
         if grad is not None:
@@ -238,7 +243,7 @@ def output_digest(seed: int) -> dict[str, str]:
         "train_cell": lambda h: _train_cell(h, _late_cell(tiny)),
         "eval_checkpoint": lambda h: _eval_checkpoint(h, tiny),
         "gradcheck": lambda h: _gradcheck(h, _experiment(seed, gc_geometry)),
-        "desk_step": lambda h: _train_steps(h, desk, 1),
+        "desk_step": lambda h: _train_steps(h, desk, 2),
         "desk_grads": lambda h: _desk_grads(h, desk),
         "desk_eval_chunk": lambda h: _eval_checkpoint(h, desk, clips=32),
         "forward_only": lambda h: _forward_only_passes(h, desk),

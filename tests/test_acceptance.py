@@ -167,7 +167,7 @@ def test_temporal_sensitivity():
         return False
 
     ta_tc = TrainConfig(lr=5e-4, weight_decay=1e-2, batch=8, epochs=200, seed=7,
-                        eval_every=4, freeze="temporal_aggregation")
+                        eval_every=4, freeze="linear_probe")
     train(ta_model, data, ta_tc, on_eval=ta_eval)
     ta_peak = max(ta_history)
 
@@ -214,12 +214,12 @@ data.clips_per_class = 2
 
 
 def test_ablation_harness_row_sets(tmp_path):
-    """The three sweep families emit exactly 4, 5, and 3 rows; all
+    """The three sweep families emit exactly 3, 5, and 3 rows; all
     cells share the frozen backbone hash. Numeric orderings are not
     asserted."""
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(SWEEP_CFG + f"out.dir = {tmp_path / 'sweeps'}\n")
-    expected = {"temporal_conv": 4, "global_position": 5, "local_position": 3}
+    expected = {"temporal_conv": 3, "global_position": 5, "local_position": 3}
     ok = True
     detail = []
     for kind, rows in expected.items():

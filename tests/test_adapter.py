@@ -12,7 +12,7 @@ from feadapter.adapter import RATE_HEAD_BIAS
 from feadapter.config import AdapterConfig, ModelConfig
 from feadapter.errors import ShapeError
 
-from helpers import grads_close, weighted_scalar
+from helpers import gelu_oracle, grads_close, weighted_scalar
 
 
 def make_weights(rng, hidden, r, kernel=(3, 3, 3), zero_up=True, dtype=np.float64,
@@ -32,9 +32,9 @@ def make_weights(rng, hidden, r, kernel=(3, 3, 3), zero_up=True, dtype=np.float6
     )
 
 
-def plain_adapter(x, w, activation="gelu"):
+def plain_adapter(x, w):
     """The plain variant: no conv, so no token lattice is read."""
-    cfg = AdapterConfig(variant="vanilla", r=w.down_w.shape[1], activation=activation)
+    cfg = AdapterConfig(variant="vanilla", r=w.down_w.shape[1])
     return apply_adapter(x, w, cfg, frames=1, grid_hw=(1, 1))
 
 
@@ -46,14 +46,14 @@ class TestVanillaAdapter:
         out = plain_adapter(Tensor(x), w).data
         np.testing.assert_array_equal(out, x)
 
-    def test_linear_closed_form_with_orthonormal_columns(self):
+    def test_closed_form_with_orthonormal_columns(self):
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.normal(size=(16, 4)))  # orthonormal columns
         w = AdapterWeights(down_w=Tensor(q), down_b=Tensor(np.zeros(4)),
                            up_w=Tensor(q.T), up_b=Tensor(np.zeros(16)))
         x = rng.normal(size=(7, 16))
-        out = plain_adapter(Tensor(x), w, activation="identity").data
-        np.testing.assert_allclose(out, x + x @ (q @ q.T), atol=1e-12)
+        out = plain_adapter(Tensor(x), w).data
+        np.testing.assert_allclose(out, x + gelu_oracle(x @ q) @ q.T, atol=1e-12)
 
     @pytest.mark.parametrize("tokens", [1, 5, 40])
     def test_output_shape_matches_input(self, tokens):
@@ -151,8 +151,8 @@ class TestDilationRates:
                     [dil_w, dil_b, grid])
 
 
-def _conv_cfg(variant, activation="gelu"):
-    return AdapterConfig(variant=variant, r=4, activation=activation)
+def _conv_cfg(variant):
+    return AdapterConfig(variant=variant, r=4)
 
 
 class TestFeAdapter:
@@ -210,9 +210,9 @@ class TestFeAdapter:
             cheb = np.maximum.reduce([np.abs(tt - 3), np.abs(hh - 3), np.abs(ww - 3)])
             assert cheb.max() <= d
 
-    def test_class_tokens_unaffected_by_patch_values_linearized(self):
-        # with f = identity the class-token rows depend only on the
-        # projection path, never on the conv over patch tokens
+    def test_class_tokens_unaffected_by_patch_values(self):
+        # GELU acts row by row, so the class-token rows depend only on
+        # the projection path, never on the conv over patch tokens
         rng = np.random.default_rng(15)
         w = make_weights(rng, 8, 4, zero_up=False)
         frames, gh, gw = 2, 2, 2
@@ -222,7 +222,7 @@ class TestFeAdapter:
         mask = np.ones(frames * s, dtype=bool)
         mask[::s] = False  # every class token row
         varied[mask] = rng.normal(size=(mask.sum(), 8))
-        cfg = _conv_cfg("dw_conv3d", activation="identity")
+        cfg = _conv_cfg("dw_conv3d")
         out_a = apply_adapter(Tensor(base[None]), w, cfg, frames, (gh, gw)).data[0]
         out_b = apply_adapter(Tensor(varied[None]), w, cfg, frames, (gh, gw)).data[0]
         np.testing.assert_allclose(out_a[::s] - base[::s], out_b[::s] - varied[::s],

@@ -155,7 +155,7 @@ class TestCorruption:
 
     @pytest.mark.parametrize("key,value", [
         ("model.hidden", "x"), ("model.hidden", [1]), ("model.hidden", None),
-        ("model.hidden", True), ("adapter.kernel", "a"), ("train.lr", {}),
+        ("model.hidden", True), ("adapter.position", 3), ("train.lr", {}),
     ])
     def test_wrong_typed_config_echo_is_a_named_error(self, tmp_path, key, value):
         m = randomized_model()

@@ -161,6 +161,21 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "bad config echo" in err and "model.hidden" in err
 
+    def test_echo_key_this_version_lacks_is_a_named_error(self, tiny_config, tmp_path, capsys):
+        # an echo written when adapter.activation existed: loading it as
+        # a GELU model would report a number for a model it never was
+        exp = load_experiment_config(str(tiny_config))
+        ckpt = tmp_path / "ck.bin"
+        save_checkpoint(VideoViT(exp.model, seed=0), str(ckpt), echo=config_echo(exp))
+        rewrite_checkpoint_header(
+            ckpt, lambda h: h["config"].__setitem__("adapter.activation", "relu"))
+        assert main(["eval", "--checkpoint", str(ckpt)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error:") and "bad config echo" in line
+        assert "unknown config key 'adapter.activation'" in line
+
     def test_header_read_and_echo_parsed_once(self, tiny_config, tmp_path, capsys, monkeypatch):
         exp = load_experiment_config(str(tiny_config))
         ckpt = tmp_path / "ck.bin"
@@ -268,7 +283,7 @@ class TestAtomicArtifacts:
 
 class TestSweepCommand:
     @pytest.mark.parametrize("kind,rows", [
-        ("temporal_conv", ["ta", "linear_probe", "dw_conv3d", "d2_conv3d"]),
+        ("temporal_conv", ["linear_probe", "dw_conv3d", "d2_conv3d"]),
         ("global_position", ["1", "2", "3", "2-3", "1-3"]),
         ("local_position", ["after_mlp", "after_mhsa", "before_mhsa"]),
     ])

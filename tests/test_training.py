@@ -70,10 +70,6 @@ class TestApplyFreeze:
         with pytest.raises(ConfigError):
             apply_freeze(VideoViT(tiny_cfg(), seed=0), "adapter")
 
-    def test_temporal_aggregation_requires_no_adapter(self):
-        with pytest.raises(ConfigError):
-            apply_freeze(VideoViT(adapter_cfg(), seed=0), "temporal_aggregation")
-
     def test_frozen_tensors_bitwise_unchanged_after_training(self):
         cfg = adapter_cfg()
         m = VideoViT(cfg, seed=1)
@@ -180,11 +176,11 @@ class TestCosineSchedule:
     def test_start_is_base_lr(self):
         assert cosine_lr(0, 100, 5e-4) == pytest.approx(5e-4)
 
-    def test_end_is_min_lr(self):
-        assert cosine_lr(100, 100, 5e-4, min_lr=1e-6) == pytest.approx(1e-6)
+    def test_end_is_zero(self):
+        assert cosine_lr(100, 100, 5e-4) == 0.0
 
     def test_midpoint(self):
-        assert cosine_lr(50, 100, 4e-4, min_lr=2e-4) == pytest.approx(3e-4)
+        assert cosine_lr(50, 100, 4e-4) == pytest.approx(2e-4)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(UsageError):
@@ -193,7 +189,7 @@ class TestCosineSchedule:
             cosine_lr(-1, 100, 5e-4)
 
     def test_non_increasing(self):
-        vals = [cosine_lr(e, 50, 1e-3, min_lr=1e-5) for e in range(51)]
+        vals = [cosine_lr(e, 50, 1e-3) for e in range(51)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
