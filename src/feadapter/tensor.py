@@ -45,8 +45,9 @@ Nothing is computed for a gradient nobody reads:
 ``chunked(fn, inputs)`` is the one chunk loop: ``fn`` over 4-row
 chunks, two at a time on threads, joined by one ``concat``. Under
 ``no_grad`` it is the forward-only passes; in grad mode its join is a
-fork, and ``backward`` runs each chunk's subgraph on a thread of its
-own, adding the chunks' leaf-gradient sums to ``.grad`` in chunk order.
+fork when the chunk subgraphs share no op node, and the backward walks
+each chunk's subgraph on a thread of its own. ``.grad`` is written once,
+after the walk, so a backward that raises changes no ``.grad``.
 
 ``depthwise_conv3d`` takes batched input only, (batch, channels, T, H,
 W), with its dilation rates as a float triple or a (batch, 3) tensor.
@@ -816,16 +817,21 @@ def chunked(fn, inputs) -> Tensor:
     it does not grow with the row count.
 
     In grad mode the join of tracked chunk outputs is an ordinary
-    ``concat`` node whose parents are the chunk outputs, marked as a
-    fork: ``backward`` runs each chunk's subgraph on a thread of its
-    own into leaf-gradient sums of its own, and adds those sums to
-    ``.grad`` in chunk order. A leaf's ``.grad`` is then old + chunk 0
-    + chunk 1 + ..., the same bits on one core or two, and may differ
-    in its last bits from a backward over the unchunked rows."""
+    ``concat`` node whose parents are the chunk outputs. It is a fork
+    when no op node is in two chunk subgraphs, which one walk over each
+    chunk output tells here: ``backward`` then walks each chunk's
+    subgraph on a thread of its own, and a leaf's ``.grad`` ends as old
+    + chunk 0 + chunk 1 + ..., the same bits on one core or two, which
+    may differ in their last bits from a backward over the unchunked
+    rows. A fork's chunk subgraphs must be reached only through the
+    join: a loss that also reaches an op node under a chunk output by
+    another path makes ``backward`` raise ``UsageError``."""
     outs = _in_parallel(fn, [inputs[lo:lo + _CHUNK] for lo in range(0, len(inputs), _CHUNK)])
     out = concat(outs, axis=0)
     if out.requires_grad:
-        out._node.fork = True
+        ops = [node for part in out._node._parents if part.requires_grad
+               for node in _order(part, True) if node._vjp is not None]
+        out._node.fork = len(set(ops)) == len(ops)
     return out
 
 
@@ -869,111 +875,71 @@ def trace_graph(root: Tensor) -> list[_Node]:
 
 def _spent(g):
     """The VJP of a node whose backward has run; its saved arrays are gone."""
-    raise UsageError("this graph's backward already ran; its saved arrays are freed")
+    raise UsageError("this graph's backward already ran; run a new forward to "
+                     "differentiate again")
 
 
-def _split(top: _Node) -> tuple[list[_Node], dict]:
-    """The graph under ``top`` cut at its forks: the nodes of ``top``'s
-    own walk in topological order, and for each fork among them the
-    split of each of its parents (None for a parent without gradient)."""
-    order = _order(top, False)
-    return order, {node: [_split(p) if p.requires_grad else None for p in node._parents]
-                   for node in order if node.fork}
-
-
-def _nodes(split):
-    """Every node of ``split``'s walks; a leaf appears once per walk."""
-    order, forks = split
-    yield from order
-    for parts in forks.values():
-        for part in parts:
-            if part is not None:
-                yield from _nodes(part)
-
-
-def _add_to_grad(node: _Node, g: np.ndarray) -> None:
-    leaf = node.leaf
-    leaf.grad = g if leaf.grad is None else leaf.grad + g
-
-
-def _chunk_sums(seed) -> dict:
-    """One chunk subgraph's walk from its output gradient; its leaf
-    gradients are summed apart from the other chunks'."""
-    split, g = seed
-    sums: dict[_Node, np.ndarray] = {}
-
-    def add(node, g):
-        held = sums.get(node)
-        sums[node] = g if held is None else held + g
-
-    _walk(split, g, add)
-    return sums
-
-
-def _walk(split, g: np.ndarray, add) -> None:
-    """Run the VJPs of ``split``'s order in reverse, from ``g`` at its
-    last node, and pass each leaf's summed gradient to ``add(node, g)``.
-    At a fork, the chunk subgraphs run through ``_chunk_sums`` on two
-    threads, and their sums go to ``add`` in chunk order."""
-    order, forks = split
-    grads: dict[_Node, np.ndarray] = {order[-1]: g}
-    for node in reversed(order):
+def _walk(seed) -> list[tuple[_Node, np.ndarray]]:
+    """From ``seed``, a node and the gradient at it, run the VJPs under
+    that node in reverse topological order, and return each leaf node
+    reached with its summed gradient, in the order reached. At a fork
+    the chunk subgraphs are walked on two threads, and their pairs
+    follow in chunk order."""
+    top, g = seed
+    pairs: list[tuple[_Node, np.ndarray]] = []
+    grads: dict[_Node, np.ndarray] = {top: g}
+    for node in reversed(_order(top, False)):
         g = grads.pop(node, None)
         if g is None:
             continue
         if node._vjp is None:
-            add(node, g)
+            pairs.append((node, g))
             continue
         vjp, node._vjp = node._vjp, _spent
-        parts, seeds = forks.get(node), []
-        for i, (parent, pg) in enumerate(zip(node._parents, vjp(g))):
+        seeds = []
+        for parent, pg in zip(node._parents, vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             _guard_finite(pg, "backward")
             if pg.shape != parent.shape:
                 pg = pg.reshape(parent.shape)
-            if parts is not None:
-                seeds.append((parts[i], pg))
+            if node.fork:
+                seeds.append((parent, pg))
                 continue
             held = grads.get(parent)
             grads[parent] = pg if held is None else held + pg
         if seeds:
-            for sums in _in_parallel(_chunk_sums, seeds):
-                for leaf, s in sums.items():
-                    add(leaf, s)
+            for chunk in _in_parallel(_walk, seeds):
+                pairs.extend(chunk)
         # hold nothing of this node into the next VJP
         vjp = g = pg = held = seeds = None
+    return pairs
 
 
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar loss into every gradient-tracked
-    leaf reachable from it. Traverses exact reverse topological order;
-    at the join of ``chunked`` (a fork), each chunk's subgraph runs on
-    a thread of its own and the chunks' leaf sums reach ``.grad`` in
-    chunk order. Chunk subgraphs that share an op node cannot run
-    apart, and the whole graph then runs as one walk.
+    leaf reachable from it. One walk (``_walk``) runs the VJPs in exact
+    reverse topological order; at the join of ``chunked`` (a fork), each
+    chunk's subgraph is walked on a thread of its own. The walk returns
+    the leaf gradients, and ``.grad`` is written once, after it, in the
+    order the walk reached them, chunk sums in chunk order.
 
     The backward consumes the graph: each op node's VJP is swapped for
     ``_spent`` once it has run, and the walk drops its own references
     before the next VJP runs, so a saved array dies as soon as its one
-    reader is done. Leaf nodes stay as they are. A second backward over
-    a spent graph, or over any part of it, raises ``UsageError`` before
-    any ``.grad`` changes."""
+    reader is done. Leaf nodes stay as they are. A backward that raises
+    (a spent node, ``UsageError``, or a non-finite gradient,
+    ``NonFiniteError``) leaves every ``.grad`` as it was; the VJPs it
+    ran before it raised are spent."""
     if not isinstance(loss, Tensor):
         raise UsageError("backward expects a Tensor loss")
     if loss.data.size != 1:
         raise UsageError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise UsageError("loss does not require gradients; nothing to differentiate")
-    split = _split(_node_of(loss))
-    nodes = list(_nodes(split))
-    if any(node._vjp is _spent for node in nodes):
-        raise UsageError("this graph's backward already ran; run a new forward to "
-                         "differentiate again")
-    ops = [node for node in nodes if node._vjp is not None]
-    if len(set(ops)) < len(ops):
-        split = trace_graph(loss), {}
-    _walk(split, np.ones_like(loss.data), _add_to_grad)
+    for node, g in _walk((_node_of(loss), np.ones_like(loss.data))):
+        leaf = node.leaf
+        leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def finite_difference_gradient(f, params: Tensor, eps: float = 1e-5) -> Tensor:

@@ -353,6 +353,21 @@ class TestBackward:
         loss.backward()
         np.testing.assert_allclose(x.grad, [8.0])
 
+    def test_raising_backward_leaves_grad_as_it_was(self):
+        # the reverse walk reaches w1 before the gelu node, whose VJP
+        # then returns inf
+        rng = np.random.default_rng(13)
+        w1 = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        w2 = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        w1.grad = rng.normal(size=(3,)).astype(np.float32)
+        before = w1.grad.tobytes()
+        h = T.gelu(w2)
+        h._vjp = lambda g: (np.full_like(g, np.inf),)
+        with pytest.raises(NonFiniteError, match="backward"):
+            T.sum_axis(T.mul(w1, h)).backward()
+        assert w1.grad.tobytes() == before
+        assert w2.grad is None
+
 
 class TestFiniteDifferenceOracle:
     def test_sum_gives_ones(self):
@@ -876,6 +891,13 @@ class TestSavedArrays:
 
         one_walk = grad_of(lambda fn, rows: T.concat([fn(rows[:4]), fn(rows[4:])], axis=0))
         np.testing.assert_array_equal(grad_of(T.chunked), one_walk)
+        # the join decides: a shared op node makes it a plain concat,
+        # and the same loop over chunks that share only the leaf forks
+        w2 = T.mul(w, w)
+        shared = T.chunked(lambda c: T.mul(Tensor(c), w2), x)
+        assert not any(node.fork for node in trace_graph(shared))
+        disjoint = T.chunked(lambda c: T.mul(Tensor(c), T.mul(w, w)), x)
+        assert any(node.fork for node in trace_graph(disjoint))
 
     @pytest.mark.parametrize("op", ["gelu", "depthwise_conv3d", "layer_norm"])
     def test_vjp_called_twice_gives_the_same_bits(self, op):

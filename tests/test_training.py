@@ -806,6 +806,26 @@ class TestChunkedStep:
         for name, grad in before.items():
             np.testing.assert_array_equal(after[name], grad, err_msg=name)
 
+    def test_nan_from_one_chunk_vjp_leaves_every_grad_as_it_was(self):
+        m = chunk_model()
+        clips, labels = chunk_batch()
+        chunk_outs = []
+        features = m._clip_features
+        m._clip_features = lambda x, start: chunk_outs.append(features(x, start)) or chunk_outs[-1]
+        loss = T.cross_entropy(m.forward(clips), labels)
+        vjp = chunk_outs[-1]._vjp
+        chunk_outs[-1]._vjp = lambda g: [None if pg is None else np.full_like(pg, np.nan)
+                                         for pg in vjp(g)]
+        rng = np.random.default_rng(4)
+        trainable = {n: t for n, t in m.params.items() if t.requires_grad}
+        for t in trainable.values():
+            t.grad = rng.normal(0.0, 1e-2, size=t.shape).astype(np.float32)
+        before = {n: t.grad.tobytes() for n, t in trainable.items()}
+        assert "head.weight" in before
+        with pytest.raises(NonFiniteError, match="backward"):
+            loss.backward()
+        assert {n: t.grad.tobytes() for n, t in trainable.items()} == before
+
     def test_one_node_per_trainable_leaf_when_chunks_meet_it_at_once(self, monkeypatch):
         # a leaf's node is made on its first use; here it takes 20 ms
         # to make, so the second chunk's thread meets every adapter leaf
