@@ -189,6 +189,26 @@ class VideoViT:
         return embed_tokens(Tensor(patches), p["patch_embed.weight"], p["patch_embed.bias"],
                             p["cls_token"], p["pos_embed"])
 
+    def _per_clip(self, fn, x, start: int | None) -> Tensor:
+        """``fn(x)``, the per-clip part of a pass from block ``start``,
+        through ``tensor.chunked`` when ``x`` is more than one chunk and
+        the pass is forward-only or its gradient reaches more than the
+        last block (from ``start`` or the frozen prefix, whichever is
+        later): so a tracked forward from clips chunks exactly when one
+        from train()'s cache does, and their gradients stay bitwise equal."""
+        if len(x) > T._CHUNK and (not T._grad_enabled or
+                                  max(start or 0, self.frozen_prefix() or 0) < self.cfg.depth - 1):
+            return T.chunked(fn, x)
+        return fn(x)
+
+    def _blocks(self, x, start: int | None, stop: int) -> Tensor:
+        """Checked clips (``start`` None) or prefix tokens through blocks
+        ``start``..``stop``-1."""
+        x = self._embed(x) if start is None else Tensor(x)
+        for i in range(start or 0, stop):
+            x = self._block(x, i)
+        return x
+
     def encode_prefix(self, clips, stop: int) -> Tensor:
         """The tokens entering block ``stop`` (0 <= stop <= depth): the
         embedded clips run through blocks 0..stop-1,
@@ -196,22 +216,15 @@ class VideoViT:
         (batch, frames, hidden), when ``stop`` is the depth."""
         if not 0 <= stop <= self.cfg.depth:
             raise UsageError(f"stop block {stop} outside [0, {self.cfg.depth}]")
-        x = self._embed(self._check_clips(np.asarray(clips, dtype=self.dtype)))
-        for i in range(stop):
-            x = self._block(x, i)
-        return x
+        clips = self._check_clips(np.asarray(clips, dtype=self.dtype))
+        return self._per_clip(lambda c: self._blocks(c, None, stop), clips, None)
 
     def _clip_features(self, x, start: int | None) -> Tensor:
         """The per-clip part of ``encode``: checked clips (``start``
         None) or prefix tokens through the blocks, pooled over the
         frames, (batch, hidden)."""
-        if start is None:
-            x, start = self._embed(x), 0
-        else:
-            x = Tensor(x)
-        for i in range(start, self.cfg.depth):
-            x = self._block(x, i)
-        return temporal_average_pool(x)          # x: class tokens, (batch, frames, hidden)
+        # the last block returns class tokens alone, (batch, frames, hidden)
+        return temporal_average_pool(self._blocks(x, start, self.cfg.depth))
 
     def encode(self, clips, start: int | None = None) -> Tensor:
         """Pooled, normalized clip features: (batch, hidden). With
@@ -219,13 +232,11 @@ class VideoViT:
         ``encode_prefix(clips, start)`` returns, and only the blocks
         from ``start`` on run.
 
-        A tracked forward of more than one chunk whose gradient reaches
-        more than the last block (from ``start`` or the frozen prefix,
-        whichever is later) runs its per-clip part through
-        ``tensor.chunked``, two chunks at a time on threads; the final
-        norm (and the head after it) still sees the whole batch. Under
-        ``no_grad`` it runs on the calling thread, so a forward-only
-        pass in chunks opens no pool of its own (README, "Engine: whole
+        The per-clip part runs through ``_per_clip``, so a batch of more
+        than one chunk runs in chunks, two at a time on threads, in a
+        forward-only pass and in a tracked one whose gradient reaches
+        more than the last block; the final norm (and the head after
+        it) sees the whole batch in every pass (README, "Engine: whole
         chunks on two threads")."""
         cfg = self.cfg
         if start is None:
@@ -239,14 +250,7 @@ class VideoViT:
             if clips.shape[1:] != expected:
                 raise ShapeError(
                     f"prefix tokens {clips.shape} do not match expected (batch,)+{expected}")
-        # the first block a gradient reaches: with the frozen prefix
-        # counted, a forward from clips chunks exactly when one from
-        # train()'s cache does, and their gradients stay bitwise equal
-        if T._grad_enabled and len(clips) > T._CHUNK and \
-                max(start or 0, self.frozen_prefix() or 0) < cfg.depth - 1:
-            pooled = T.chunked(lambda chunk: self._clip_features(chunk, start), clips)
-        else:
-            pooled = self._clip_features(clips, start)
+        pooled = self._per_clip(lambda chunk: self._clip_features(chunk, start), clips, start)
         p = self.params
         return T.layer_norm(pooled, p["final_norm.gamma"], p["final_norm.beta"])
 

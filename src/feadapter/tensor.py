@@ -43,11 +43,13 @@ Nothing is computed for a gradient nobody reads:
   frozen weight costs no backward work.
 
 ``chunked(fn, inputs)`` is the one chunk loop: ``fn`` over 4-row
-chunks, two at a time on threads, joined by one ``concat``. Under
-``no_grad`` it is the forward-only passes; in grad mode its join is a
-fork when the chunk subgraphs share no op node, and the backward walks
-each chunk's subgraph on a thread of its own. ``.grad`` is written once,
-after the walk, so a backward that raises changes no ``.grad``.
+chunks, two at a time on threads, joined by one ``concat``. Its one
+caller, ``VideoViT._per_clip``, decides which passes chunk: the
+forward-only ones and the tracked ones whose gradient reaches more
+than the last block. In grad mode its join is a fork when the chunk
+subgraphs share no op node, and the backward walks each chunk's
+subgraph on a thread of its own. ``.grad`` is written once, after the
+walk, so a backward that raises changes no ``.grad``.
 
 ``depthwise_conv3d`` takes batched input only, (batch, channels, T, H,
 W), with its dilation rates as a float triple or a (batch, 3) tensor.
@@ -812,9 +814,9 @@ def _in_parallel(fn, items: list) -> list:
 def chunked(fn, inputs) -> Tensor:
     """``fn`` over ``inputs`` in chunks of ``_CHUNK`` rows, run by
     ``_in_parallel`` and joined in chunk order by one ``concat`` along
-    the first axis: the one chunk loop. Its working memory is that of
-    the chunks in flight, so under ``no_grad`` (the forward-only passes)
-    it does not grow with the row count.
+    the first axis: the one chunk loop, called by
+    ``VideoViT._per_clip``. Its working memory is that of the chunks in
+    flight, so under ``no_grad`` it does not grow with the row count.
 
     In grad mode the join of tracked chunk outputs is an ordinary
     ``concat`` node whose parents are the chunk outputs. It is a fork
@@ -825,7 +827,8 @@ def chunked(fn, inputs) -> Tensor:
     may differ in their last bits from a backward over the unchunked
     rows. A fork's chunk subgraphs must be reached only through the
     join: a loss that also reaches an op node under a chunk output by
-    another path makes ``backward`` raise ``UsageError``."""
+    another path makes ``backward`` raise the ``UsageError`` of a spent
+    graph, whose message names this cause and a second backward."""
     outs = _in_parallel(fn, [inputs[lo:lo + _CHUNK] for lo in range(0, len(inputs), _CHUNK)])
     out = concat(outs, axis=0)
     if out.requires_grad:
@@ -875,7 +878,8 @@ def trace_graph(root: Tensor) -> list[_Node]:
 
 def _spent(g):
     """The VJP of a node whose backward has run; its saved arrays are gone."""
-    raise UsageError("this graph's backward already ran; run a new forward to "
+    raise UsageError("this graph's backward already ran, or the loss reaches a node under a "
+                     "chunked join by a path outside the join; run a new forward to "
                      "differentiate again")
 
 

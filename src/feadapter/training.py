@@ -115,23 +115,12 @@ class TrainResult:
     wall_clock_s: float
 
 
-def _forward_only(fn, inputs: np.ndarray) -> np.ndarray:
-    """``fn`` over ``inputs`` through ``tensor.chunked`` under
-    ``no_grad``: the forward-only passes of evaluation and of the
-    frozen-prefix cache. The model is per clip up to the head, so the
-    chunk sets the working memory, not the result. The 2-d rate and
-    classifier heads may round a row differently in a chunk of another
-    row count, so outputs are reproducible for a given ``inputs``. The
-    chunk threads end before grad mode is restored."""
-    with T.no_grad():
-        return T.chunked(fn, inputs).data
-
-
 def evaluate_model(model: VideoViT, data: VideoBatch, start: int | None = None) -> MetricsReport:
     """Deterministic argmax evaluation over a whole batch collection.
     With ``start`` given, ``data.clips`` holds the tokens entering block
     ``start`` instead of clips (see ``VideoViT.encode``)."""
-    logits = _forward_only(lambda x: model.forward(x, start), data.clips)
+    with T.no_grad():
+        logits = model.forward(data.clips, start).data
     return uar_war(logits.argmax(axis=-1), data.labels, model.cfg.classes)
 
 
@@ -162,7 +151,8 @@ def train(model: VideoViT, data: VideoBatch, tcfg: TrainConfig,
     inputs = data
     if start is not None:
         try:
-            tokens = _forward_only(lambda c: model.encode_prefix(c, start), data.clips)
+            with T.no_grad():
+                tokens = model.encode_prefix(data.clips, start).data
         except NonFiniteError as exc:
             raise TrainingDiverged(f"non-finite value in the frozen-prefix cache: {exc}") from exc
         inputs = VideoBatch(tokens, data.labels)

@@ -32,9 +32,10 @@ too, the raw ``.grad`` of every tensor after one forward and backward
 of a model with randomized trainables, before AdamW reads them, so a
 change to the backward is checked on the gradients themselves (the
 script fails if every block-0 adapter gradient is zero), and the
-chunked forward-only loop (``training._forward_only``) over
-desk traffic: the logits over the 160 desk clips, and the late-third
-cell's 40 clips as ``train()`` sees them, prefix tokens and logits.
+forward-only passes under ``no_grad`` (``VideoViT.forward`` and
+``encode_prefix``, which run their per-clip part in chunks) over desk
+traffic: the logits over the 160 desk clips, and the late-third cell's
+40 clips as ``train()`` sees them, prefix tokens and logits.
 The parts print one per line, then the whole digest. BLAS results may
 differ in their last bits from one CPU to another, so compare digests
 from one machine only.
@@ -183,17 +184,18 @@ def _eval_checkpoint(h, exp, clips: int | None = None) -> None:
 
 
 def _forward_only_passes(h, exp) -> None:
-    """``training._forward_only`` with randomized trainables: the logits
-    over all of ``exp``'s clips, then the late-third cell's prefix tokens
-    and its logits from them, as ``train()`` computes them."""
-    from feadapter.training import _forward_only
-    h.update(_forward_only(_randomized(exp).forward, _dataset(exp).clips).tobytes())
-    cell = _late_cell(exp)
-    model = _randomized(cell)
-    start = model.frozen_prefix()
-    tokens = _forward_only(lambda c: model.encode_prefix(c, start), _dataset(cell).clips)
-    h.update(tokens.tobytes())
-    h.update(_forward_only(lambda x: model.forward(x, start), tokens).tobytes())
+    """Forward-only passes under ``no_grad`` with randomized trainables:
+    the logits over all of ``exp``'s clips, then the late-third cell's
+    prefix tokens and its logits from them, as ``train()`` computes them."""
+    from feadapter import tensor as T
+    with T.no_grad():
+        h.update(_randomized(exp).forward(_dataset(exp).clips).data.tobytes())
+        cell = _late_cell(exp)
+        model = _randomized(cell)
+        start = model.frozen_prefix()
+        tokens = model.encode_prefix(_dataset(cell).clips, start).data
+        h.update(tokens.tobytes())
+        h.update(model.forward(tokens, start).data.tobytes())
 
 
 def _gradcheck(h, exp) -> None:

@@ -899,6 +899,24 @@ class TestSavedArrays:
         disjoint = T.chunked(lambda c: T.mul(Tensor(c), T.mul(w, w)), x)
         assert any(node.fork for node in trace_graph(disjoint))
 
+    def test_loss_reaching_a_chunk_node_outside_the_join_raises(self):
+        # only the second chunk reads w2, so the join is a fork, and the
+        # loss reaches w2 by a second path that does not pass the join
+        rng = np.random.default_rng(55)
+        w = Tensor(rng.normal(size=(3,)), dtype=np.float64, requires_grad=True)
+        x = rng.normal(size=(8, 3))
+        w2 = T.mul(w, w)
+        joined = T.chunked(lambda c: T.mul(Tensor(c), w if c.ctypes.data == x.ctypes.data
+                                           else w2), x)
+        assert any(node.fork for node in trace_graph(joined))
+        w.grad = rng.normal(size=(3,))
+        before = w.grad.tobytes()
+        loss = T.add(T.sum_axis(joined), T.sum_axis(w2))
+        with pytest.raises(UsageError, match="backward already ran, or the loss reaches a node "
+                                             "under a chunked join by a path outside the join"):
+            loss.backward()
+        assert w.grad.tobytes() == before
+
     @pytest.mark.parametrize("op", ["gelu", "depthwise_conv3d", "layer_norm"])
     def test_vjp_called_twice_gives_the_same_bits(self, op):
         # no VJP writes into what it keeps

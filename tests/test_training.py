@@ -22,7 +22,7 @@ from feadapter.errors import (ConfigError, NonFiniteError, ShapeError, TrainingD
                               UsageError)
 from feadapter.gradcheck import randomize_trainable
 from feadapter.tensor import Tensor
-from feadapter.training import AdamW, _forward_only, experiment_data
+from feadapter.training import AdamW, experiment_data
 
 from helpers import graph_arrays, read_records, traced_peak, uar_war_oracle
 
@@ -44,6 +44,18 @@ def adapter_cfg(**kw):
 def tiny_data(cfg, clips_per_class=4, seed=0):
     return synth_dataset(seed, cfg.classes, clips_per_class, cfg.frames,
                          cfg.height, cfg.width)
+
+
+def prefix_cache(m, clips, start):
+    """The tokens entering block ``start``, built as train() builds its
+    cache: one ``encode_prefix`` under ``no_grad``."""
+    with T.no_grad():
+        return m.encode_prefix(clips, start).data
+
+
+def no_grad_logits(m, clips):
+    with T.no_grad():
+        return m.forward(clips).data
 
 
 class TestApplyFreeze:
@@ -435,7 +447,7 @@ class TestFrozenPrefixCache:
         for clips_per_class, idx in ((20, [37, 3, 31, 12, 0, 33, 8, 20]),
                                      (21, [41, 3, 31, 12, 0, 33, 40, 20])):
             data = tiny_data(m.cfg, clips_per_class=clips_per_class)
-            cache = _forward_only(lambda c: m.encode_prefix(c, start), data.clips)
+            cache = prefix_cache(m, data.clips, start)
             idx = np.array(idx)
             outs = []
             for logits in (m.forward(cache[idx], start), m.forward(data.clips[idx])):
@@ -461,8 +473,7 @@ class TestFrozenPrefixCache:
         m = self.late_model()
         data = tiny_data(m.cfg, clips_per_class=20)
         start = m.frozen_prefix()
-        cache = VideoBatch(_forward_only(lambda c: m.encode_prefix(c, start), data.clips),
-                           data.labels)
+        cache = VideoBatch(prefix_cache(m, data.clips, start), data.labels)
         a, b = evaluate_model(m, data), evaluate_model(m, cache, start)
         np.testing.assert_array_equal(a.confusion, b.confusion)
 
@@ -486,7 +497,7 @@ class TestFrozenPrefixCache:
         apply_freeze(m, "linear_probe")
         start = m.frozen_prefix()
         data = tiny_data(m.cfg)
-        cache = _forward_only(lambda c: m.encode_prefix(c, start), data.clips)
+        cache = prefix_cache(m, data.clips, start)
         assert start == m.cfg.depth and cache.shape == (len(data), m.cfg.frames, m.cfg.hidden)
         outs = []
         for logits in (m.forward(cache, start), m.forward(data.clips)):
@@ -509,32 +520,56 @@ def serial_forward_only(fn, inputs, chunk):
 
 
 class TestForwardOnlyChunks:
-    """``_forward_only`` runs ``T._CHUNK`` clips at a time on
-    ``T._WORKERS`` threads, so its working memory does not grow with
-    the clip count. The late model's prefix (the embedding and two
-    blocks without adapters) stacks every matmul per frame, so the
-    chunking changes no bit of its tokens; the 2-d rate and classifier
-    heads carry no such guarantee (README, "Numerical conventions")."""
+    """Under ``no_grad``, ``forward`` and ``encode_prefix`` run their
+    per-clip part ``T._CHUNK`` clips at a time on ``T._WORKERS``
+    threads, so their working memory does not grow with the clip count;
+    the final norm and the classifier head see the whole batch. The
+    late model's prefix (the embedding and two blocks without adapters)
+    stacks every matmul per frame, so the chunking changes no bit of its
+    tokens; the 2-d rate head carries no such guarantee (README,
+    "Numerical conventions")."""
 
     late_model = TestFrozenPrefixCache.late_model
 
     @pytest.mark.parametrize("clips", [1, 3, 4, 5, 40, 42])
     def test_threads_bitwise_equal_to_the_serial_loop(self, clips):
+        # the serial loop encodes chunk by chunk; the head then sees the
+        # whole batch, as it does in the threaded pass
         m = self.late_model()
         data = tiny_data(m.cfg, clips_per_class=21).clips[:clips]
-        np.testing.assert_array_equal(_forward_only(m.forward, data),
-                                      serial_forward_only(m.forward, data, T._CHUNK))
+        feats = serial_forward_only(m.encode, data, T._CHUNK)
+        with T.no_grad():
+            serial = T.matmul(Tensor(feats), m.params["head.weight"], m.params["head.bias"])
+        np.testing.assert_array_equal(no_grad_logits(m, data), serial.data)
+
+    @pytest.mark.parametrize("clips, calls", [(1, 0), (4, 0), (5, 1), (8, 1)])
+    def test_one_chunked_call_per_pass_and_none_for_one_chunk(self, monkeypatch, clips, calls):
+        # the model alone decides: a pass of more than one chunk calls
+        # ``T.chunked`` once, and a pass of one chunk opens no pool
+        m = self.late_model()
+        data = tiny_data(m.cfg)
+        seen, chunked = [], T.chunked
+        monkeypatch.setattr(T, "chunked", lambda fn, x: seen.append(len(x)) or chunked(fn, x))
+        with T.no_grad():
+            m.forward(data.clips[:clips])
+            assert seen == [clips] * calls
+            m.encode_prefix(data.clips[:clips], m.frozen_prefix())
+            assert seen == [clips] * 2 * calls
+        evaluate_model(m, VideoBatch(data.clips[:clips], data.labels[:clips]))
+        assert seen == [clips] * 3 * calls
 
     def test_desk_logits_equal_those_of_serial_8_clip_chunks(self):
-        # at desk geometry the 2-d heads round each of the 160 rows alike
-        # in 4- and 8-clip chunks (README, "Numerical conventions")
+        # at desk geometry the rate head rounds each of the 160 rows alike
+        # in 4- and 8-clip chunks, and the classifier head alike in
+        # 8-clip chunks and in the whole batch (README, "Numerical
+        # conventions")
         exp = load_experiment_config(DESK_CONFIG)
         m = VideoViT(exp.model, seed=exp.train.seed)
         apply_freeze(m, "adapter")
         randomize_trainable(m, exp.train.seed)
         clips = experiment_data(exp).clips
         assert len(clips) == 160
-        np.testing.assert_array_equal(_forward_only(m.forward, clips),
+        np.testing.assert_array_equal(no_grad_logits(m, clips),
                                       serial_forward_only(m.forward, clips, 8))
 
     def test_failing_chunk_raises_the_first_error_in_order(self):
@@ -557,8 +592,8 @@ class TestForwardOnlyChunks:
                 raise NonFiniteError(f"chunk at clip {lo}") from exc
 
         threads = threading.active_count()
-        with pytest.raises(NonFiniteError, match=f"chunk at clip {2 * chunk}$"):
-            _forward_only(forward, clips)
+        with T.no_grad(), pytest.raises(NonFiniteError, match=f"chunk at clip {2 * chunk}$"):
+            T.chunked(forward, clips)
         assert threading.active_count() == threads
         assert T._grad_enabled
         # a failure in the first chunk cancels the chunks not yet started
@@ -570,16 +605,16 @@ class TestForwardOnlyChunks:
                 time.sleep(0.05)
             return forward(c)
 
-        with pytest.raises(NonFiniteError, match="chunk at clip 0$"):
-            _forward_only(slow_forward, clips)
+        with T.no_grad(), pytest.raises(NonFiniteError, match="chunk at clip 0$"):
+            T.chunked(slow_forward, clips)
         assert len(started) < len(clips) // chunk
         assert threading.active_count() == threads
         assert T._grad_enabled
 
     def test_caller_errstate_holds_in_the_workers(self):
         big = np.full((2 * T._CHUNK, 3), 1e30, dtype=np.float32)
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            _forward_only(lambda c: T.mul(Tensor(c), Tensor(c)), big)
+        with T.no_grad(), np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            T.chunked(lambda c: T.mul(Tensor(c), Tensor(c)), big)
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         m = self.late_model()
@@ -587,13 +622,18 @@ class TestForwardOnlyChunks:
         start = m.frozen_prefix()
         fn = lambda c: m.encode_prefix(c, start)  # noqa: E731
         expected = serial_forward_only(fn, clips, T._CHUNK)
+
+        def forward_only():
+            with T.no_grad():
+                return T.chunked(fn, clips).data
+
         monkeypatch.setattr(T, "_WORKERS", 8)
         outs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             runner = threading.Thread(
-                target=lambda: outs.extend(_forward_only(fn, clips) for _ in range(3)))
+                target=lambda: outs.extend(forward_only() for _ in range(3)))
             runner.start()
             runner.join(timeout=120)
         finally:
@@ -624,8 +664,7 @@ class TestForwardOnlyChunks:
         beyond = {}
         for n in (4, 64):
             out = []
-            peak = traced_peak(lambda: out.append(
-                _forward_only(lambda c: m.encode_prefix(c, start), clips[:n])))
+            peak = traced_peak(lambda: out.append(prefix_cache(m, clips[:n], start)))
             beyond[n] = peak - 2 * out[0].nbytes
         assert beyond[64] <= 1.2 * T._WORKERS * beyond[4], beyond
 
@@ -636,7 +675,7 @@ class TestForwardOnlyChunks:
         tokens = {}
         for chunk in (1, 3, 4, 8, 32):
             monkeypatch.setattr(T, "_CHUNK", chunk)
-            tokens[chunk] = _forward_only(lambda c: m.encode_prefix(c, start), clips)
+            tokens[chunk] = prefix_cache(m, clips, start)
         for chunk in (1, 3, 8, 32):
             np.testing.assert_array_equal(tokens[chunk], tokens[4], err_msg=f"chunk {chunk}")
 
