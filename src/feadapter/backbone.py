@@ -41,27 +41,43 @@ def embed_tokens(patches, proj_w, proj_b, cls_token, pos_embed) -> Tensor:
     return T.concat([cls, tok], axis=-2) + pos_embed
 
 
-def mhsa(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
+def mhsa(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, queries: int | None = None) -> Tensor:
     """Multi-head scaled dot-product self-attention over the second-to-
-    last axis, with output projection. Works for any leading shape."""
+    last axis, with output projection. Works for any leading shape.
+
+    With ``queries`` given, only the first ``queries`` rows attend: the
+    Q projection, scores, softmax, context and output projection run on
+    those rows, keys and values on every row, and the result holds
+    those rows alone. With two or more, each is bitwise that row of the
+    full attention; a single row's products take numpy's matrix-vector
+    path, which may round differently."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     lead = x.shape[:-2]
-    s, hidden = x.shape[-2:]
+    hidden = x.shape[-1]
     if hidden % heads:
         raise ConfigError(f"hidden {hidden} not divisible by heads {heads}")
     dh = hidden // heads
     scale = 1.0 / math.sqrt(dh)
 
     def split(t):
-        return T.moveaxis(T.reshape(t, (*lead, s, heads, dh)), -2, -3)
+        return T.moveaxis(T.reshape(t, (*t.shape[:-1], heads, dh)), -2, -3)
 
-    q = split(T.matmul(x, wq, bq))
+    q = split(T.matmul(x if queries is None else x[..., :queries, :], wq, bq))
     k = split(T.matmul(x, wk, bk))
     v = split(T.matmul(x, wv, bv))
     att = T.softmax_lastdim(T.matmul(q, T.moveaxis(k, -1, -2)) * scale)
-    ctx = T.matmul(att, v)                       # (..., heads, s, dh)
-    ctx = T.reshape(T.moveaxis(ctx, -3, -2), (*lead, s, hidden))
+    ctx = T.matmul(att, v)                       # (..., heads, rows, dh)
+    ctx = T.reshape(T.moveaxis(ctx, -3, -2), (*lead, att.shape[-2], hidden))
     return T.matmul(ctx, wo, bo)
+
+
+# The rows that attend in a last block whose patch rows nothing reads
+# after its attention: the class token, plus one patch row so that
+# every product keeps two rows. numpy computes a one-row product on its
+# matrix-vector path, which may round differently from the GEMM that
+# computes the same row among others; with two rows every logit and
+# gradient keeps the bits of a block in which every row attends.
+_QUERY_ROWS = 2
 
 
 def temporal_average_pool(cls_tokens) -> Tensor:
@@ -140,9 +156,14 @@ class VideoViT:
     def _block(self, x: Tensor, i: int) -> Tensor:
         """Block ``i`` over (batch, frames, N+1, hidden) tokens. The head
         reads only the class tokens of the last block, so that block
-        returns them alone, (batch, frames, hidden): it drops the patch
-        rows once nothing reads them, before its MLP unless an
-        ``after_mlp`` adapter's conv still needs the full grid."""
+        returns them alone, (batch, frames, hidden), and computes only
+        the rows that what follows reads. With no adapter or a
+        ``before_mhsa`` one, only its first ``_QUERY_ROWS`` rows attend
+        (keys and values come from every row) and its MLP runs on the
+        class tokens. An adapter after the attention needs the full
+        grid for its conv, so every row attends, and the patch rows are
+        dropped after an ``after_mhsa`` adapter, or at the block's end
+        with ``after_mlp``."""
         cfg = self.cfg
         p, pre = self.params, f"blocks.{i}."
         # parameter_layout gives a block adapter weights iff it carries one
@@ -151,12 +172,16 @@ class VideoViT:
         if hook == "before_mhsa":
             x = self._run_adapter(x, i)
         h = T.layer_norm(x, p[pre + "ln1.gamma"], p[pre + "ln1.beta"])
+        queries = _QUERY_ROWS if last and hook in (None, "before_mhsa") else None
+        if queries:
+            x = x[:, :, :queries, :]
+        # the attention output is added at once, so it is freed before the MLP
         x = x + mhsa(h,
                      p[pre + "attn.q.weight"], p[pre + "attn.q.bias"],
                      p[pre + "attn.k.weight"], p[pre + "attn.k.bias"],
                      p[pre + "attn.v.weight"], p[pre + "attn.v.bias"],
                      p[pre + "attn.out.weight"], p[pre + "attn.out.bias"],
-                     cfg.heads)
+                     cfg.heads, queries)
         if hook == "after_mhsa":
             x = self._run_adapter(x, i)
         if last and hook != "after_mlp":

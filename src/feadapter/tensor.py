@@ -386,7 +386,9 @@ def transpose(a, axes) -> Tensor:
     data = a.data.transpose(axes)
     if not _tracks(a):
         return _result(data, (), None, "transpose")
-    inv = tuple(np.argsort(axes))
+    inv = [0] * len(axes)
+    for i, ax in enumerate(axes):
+        inv[ax] = i
     return _result(data, (a,), lambda g: (np.transpose(g, inv),), "transpose")
 
 

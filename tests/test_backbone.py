@@ -12,6 +12,7 @@ import pytest
 
 from feadapter import (Tensor, VideoViT, embed_tokens, mhsa, patchify_clips,
                        temporal_average_pool)
+from feadapter import backbone
 from feadapter import tensor as T
 from feadapter.config import AdapterConfig, ModelConfig, parameter_layout
 from feadapter.errors import ConfigError, ShapeError, UsageError
@@ -144,6 +145,44 @@ class TestMhsa:
         ref = attention_oracle(x, wq.data, bq.data, wk.data, bk.data,
                                wv.data, bv.data, wo.data, bo.data, heads=2)
         assert np.abs(out - ref).max() < 1e-10
+
+    @staticmethod
+    def attention_rows(queries, dtype):
+        """(output, gradients of x and the weights) of ``queries`` rows
+        attending (all 17 when None) under a loss that reads the first
+        two rows."""
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(2, 3, 17, 32)), requires_grad=True, dtype=dtype)
+        weights = [Tensor(w.data, requires_grad=True, dtype=dtype)
+                   for w in _attn_weights(rng, 32)]
+        out = mhsa(x, *weights, heads=4, queries=queries)
+        read = Tensor(rng.normal(size=(2, 3, 2, 32)), dtype=dtype)
+        T.sum_axis(out[..., :2, :] * read).backward()
+        return out.data, [t.grad for t in (x, *weights)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("queries", [2, 3, 17])
+    def test_two_or_more_query_rows_are_bitwise_the_first_rows(self, queries, dtype):
+        out, grads = self.attention_rows(queries, dtype)
+        full, full_grads = self.attention_rows(None, dtype)
+        assert out.shape == (2, 3, queries, 32)
+        np.testing.assert_array_equal(out, full[..., :queries, :])
+        for g, want in zip(grads, full_grads):
+            np.testing.assert_array_equal(g, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_query_row_is_only_close(self, dtype):
+        # a one-row product runs on numpy's matrix-vector path, which may
+        # round differently from the GEMM: so the last block keeps two
+        # query rows (backbone._QUERY_ROWS), not one
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(2, 3, 17, 32)).astype(dtype)
+        weights = [Tensor(w.data, dtype=dtype) for w in _attn_weights(rng, 32)]
+        one = mhsa(x, *weights, heads=4, queries=1).data
+        full = mhsa(x, *weights, heads=4).data
+        assert one.shape == (2, 3, 1, 32)
+        tol = 1e-4 if dtype == np.float32 else 1e-10
+        np.testing.assert_allclose(one, full[..., :1, :], rtol=tol, atol=tol)
 
     def test_indivisible_heads_rejected(self):
         rng = np.random.default_rng(6)
@@ -319,6 +358,32 @@ class TestForwardOnlyMemory:
             m.forward(clips)
         assert dead == [True] * m.cfg.depth
 
+    @pytest.mark.parametrize("position", ["before_mhsa", "after_mhsa", "after_mlp"])
+    def test_attention_output_freed_before_the_mlp_gelu(self, position, monkeypatch):
+        # the attention output is read once, by the residual add; a block
+        # that kept it bound would hold a token-sized array through its MLP
+        m = VideoViT(desk_cfg(adapter=AdapterConfig(variant="d2_conv3d", r=8,
+                                                    position=position)), seed=3)
+        outs, dead = [], []
+        real_mhsa, real_gelu = backbone.mhsa, T.gelu
+
+        def attention(*args):
+            out = real_mhsa(*args)
+            outs.append(weakref.ref(out.data))
+            return out
+
+        def gelu(x):
+            if x.shape[-1] == m.cfg.mlp_width:
+                dead.append(outs[-1]() is None)
+            return real_gelu(x)
+
+        monkeypatch.setattr(backbone, "mhsa", attention)
+        monkeypatch.setattr(T, "gelu", gelu)
+        clips = np.random.default_rng(5).normal(size=(2, 4, 3, 16, 16)).astype(np.float32)
+        with T.no_grad():
+            m.forward(clips)
+        assert dead == [True] * m.cfg.depth
+
 
 def _untrimmed_logits(m, clips):
     """The logits with a last block that keeps every token: ``m``'s
@@ -409,6 +474,29 @@ class TestClassTokenTail:
         np.testing.assert_allclose(logits, want, rtol=1e-5, atol=1e-6)
         for name, g in grads.items():
             np.testing.assert_allclose(g, want_grads[name], rtol=1e-4, atol=1e-6, err_msg=name)
+
+    @pytest.mark.parametrize("position, blocks, rows", [
+        ("before_mhsa", None, 2), ("after_mhsa", (1,), 2), ("after_mlp", (1,), 2),
+        ("after_mhsa", None, 5), ("after_mlp", None, 5)])
+    def test_last_block_attends_from_the_rows_it_needs(self, position, blocks, rows,
+                                                        monkeypatch):
+        # two query rows (the class token and one patch row) per clip,
+        # frame and head when nothing after the attention needs the grid;
+        # all N+1 when an adapter's conv does
+        m = self.model("d2_conv3d", position, np.float32, 4, blocks=blocks)
+        cfg, shapes = m.cfg, []
+        real_softmax = T.softmax_lastdim
+
+        def softmax(x):
+            shapes.append(x.shape)
+            return real_softmax(x)
+
+        monkeypatch.setattr(T, "softmax_lastdim", softmax)
+        clips = np.random.default_rng(13).normal(
+            size=(3, cfg.frames, 3, cfg.height, cfg.width)).astype(np.float32)
+        T.cross_entropy(m.forward(clips), np.arange(3) % cfg.classes).backward()
+        n = cfg.tokens_per_frame
+        assert shapes == [(3, cfg.frames, cfg.heads, n, n), (3, cfg.frames, cfg.heads, rows, n)]
 
     @pytest.mark.parametrize("variant, position, blocks", [
         ("vanilla", "after_mhsa", (1,)), ("vanilla", "before_mhsa", None),
