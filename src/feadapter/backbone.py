@@ -63,9 +63,10 @@ def mhsa(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, queries: int | None = No
         return T.moveaxis(T.reshape(t, (*t.shape[:-1], heads, dh)), -2, -3)
 
     q = split(T.matmul(x if queries is None else x[..., :queries, :], wq, bq))
-    k = split(T.matmul(x, wk, bk))
+    k = T.matmul(x, wk, bk)
+    k = T.moveaxis(T.reshape(k, (*k.shape[:-1], heads, dh)), -3, -1)  # (..., heads, dh, rows)
     v = split(T.matmul(x, wv, bv))
-    att = T.softmax_lastdim(T.matmul(q, T.moveaxis(k, -1, -2)) * scale)
+    att = T.softmax_lastdim(T.matmul(q, k) * scale)
     ctx = T.matmul(att, v)                       # (..., heads, rows, dh)
     ctx = T.reshape(T.moveaxis(ctx, -3, -2), (*lead, att.shape[-2], hidden))
     return T.matmul(ctx, wo, bo)
