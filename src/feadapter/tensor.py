@@ -32,9 +32,12 @@ Nothing is computed for a gradient nobody reads:
   no parents and ``requires_grad=False``, so a forward-only pass keeps
   no saved activations, and ``depthwise_conv3d`` skips the
   rate-derivative matrices. Values are bitwise those of grad mode, and
-  the finite checks still run on every output. ``train()`` uses it to
-  encode its one cache, the tokens entering the first block that holds
-  a trainable tensor (the frozen prefix), and every eval runs under it.
+  the finite checks still run on every output; one above
+  ``_GUARD_SLICE`` elements that has a flat view is checked slice by
+  slice into one small scratch, not into a bool array of its own size.
+  ``train()`` uses it to encode its one cache, the tokens entering the
+  first block that holds a trainable tensor (the frozen prefix), and
+  every eval runs under it.
 - A multi-operand VJP returns ``None`` for every operand with
   ``requires_grad=False`` instead of computing its gradient, so a
   frozen weight costs no backward work.
@@ -95,12 +98,33 @@ def no_grad():
         _grad_enabled = prev
 
 
+# _guard_finite checks an output above this many elements slice by slice
+_GUARD_SLICE = 1 << 16
+
+
+def _flat_view(arr: np.ndarray) -> np.ndarray | None:
+    """``arr``'s elements as one 1-d view in memory order, or None when
+    they do not fill one block of memory (a broadcast or sliced view)."""
+    axes = sorted(range(arr.ndim), key=arr.strides.__getitem__, reverse=True)
+    view = arr.transpose(axes)
+    return view.reshape(-1) if view.flags.c_contiguous else None
+
+
 def _guard_finite(arr: np.ndarray, op: str) -> None:
     """Raise ``NonFiniteError`` naming ``op`` if ``arr`` holds a NaN or
-    an inf."""
-    # the ufunc reduce directly: ndarray.all goes through a Python wrapper
-    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
-        raise NonFiniteError(f"{op}: produced non-finite values")
+    an inf. A large array with a flat view is checked in slices into one
+    small scratch, not into a bool array of its own size."""
+    flat = _flat_view(arr) if arr.size > _GUARD_SLICE else None
+    if flat is None:
+        # the ufunc reduce directly: ndarray.all goes through a Python wrapper
+        if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+            raise NonFiniteError(f"{op}: produced non-finite values")
+        return
+    scratch = np.empty(_GUARD_SLICE, dtype=bool)
+    for start in range(0, flat.size, _GUARD_SLICE):
+        part = flat[start:start + _GUARD_SLICE]
+        if not np.logical_and.reduce(np.isfinite(part, out=scratch[:part.size])):
+            raise NonFiniteError(f"{op}: produced non-finite values")
 
 
 class _Node:

@@ -25,7 +25,7 @@ down, it hashes:
   file holds the temporary ``out.dir``).
 
 It also runs two training steps and one 32-clip forward at desk size,
-so that arrays of desk size, not only of the tiny geometry, are hashed.
+so that arrays above the engine's slice-checking threshold are hashed.
 Two steps, because the classifier head starts at zero, so the first
 step's adapter gradients are all exactly 0. At desk size it hashes,
 too, the raw ``.grad`` of every tensor after one forward and backward
